@@ -1,10 +1,10 @@
 //! Wall-clock probe for the stress-scenario registry.
 //!
 //! Runs every registered scenario (or one named on the command line)
-//! under both day-loop engines and prints per-scenario wall times plus
-//! the golden digest, so a perf regression in the stress paths —
-//! reboot handling, spike wakes, fault recovery, the sharded day — is
-//! visible before the golden suite merely times out:
+//! and prints per-scenario wall times plus the golden digest, so a perf
+//! regression in the stress paths — reboot handling, spike wakes, fault
+//! recovery, the sharded day — is visible before the golden suite
+//! merely times out:
 //!
 //! ```text
 //! cargo run --release -p oasis-bench --example scenario_probe
@@ -12,9 +12,8 @@
 //! ```
 
 use oasis_bench::timing::monotonic_secs;
-use oasis_cluster::scenarios::{self, run_scenario_with};
+use oasis_cluster::scenarios::{self, run_scenario_on};
 use oasis_sim::pool::WorkerPool;
-use oasis_sim::{EngineMode, ModelFidelity};
 
 const RUNS: usize = 5;
 
@@ -31,18 +30,14 @@ fn main() {
     }
     for spec in specs {
         let mut digest = String::new();
-        for engine in [EngineMode::Interval, EngineMode::EventDriven] {
-            let mut best = f64::INFINITY;
-            for _ in 0..RUNS {
-                let t0 = monotonic_secs();
-                let report =
-                    run_scenario_with(&pool, &spec, 1, Some((engine, ModelFidelity::PerPage)))
-                        .expect("scenario runs");
-                best = best.min(monotonic_secs() - t0);
-                digest = report.digest();
-            }
-            println!("{:<16} {:>9} best={:>8.2}ms", spec.name, format!("{engine:?}"), best * 1e3);
+        let mut best = f64::INFINITY;
+        for _ in 0..RUNS {
+            let t0 = monotonic_secs();
+            let report = run_scenario_on(&pool, &spec, 1).expect("scenario runs");
+            best = best.min(monotonic_secs() - t0);
+            digest = report.digest();
         }
+        println!("{:<16} best={:>8.2}ms", spec.name, best * 1e3);
         println!("  {digest}");
     }
 }

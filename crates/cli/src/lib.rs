@@ -8,14 +8,12 @@
 //!              [--memserver-watts W] [--faults PATH]
 //!              [--fault-profile light|heavy] [--trace-out PATH]
 //!              [--metrics-out PATH] [--log-level off|warn|info|debug]
-//!              [--fidelity per-page|batched] [--engine interval|event]
 //!              [--scale paper|smoke|datacenter] [--racks N]
 //!              [--planner global|local] [--jobs N]
 //!              [--scenario NAME]
 //! oasis week   [--policy P] [--homes N] [--cons N] [--vms N] [--seed S]
-//!              [--jobs N] [--fidelity per-page|batched]
-//!              [--engine interval|event]
-//! oasis micro  [--seed S] [--fidelity per-page|batched]
+//!              [--jobs N]
+//! oasis micro  [--seed S]
 //! oasis report [same sim flags] [--format text|json] [--top N]
 //!              [--wall true] [--folded PATH] [--folded-metric wall|sim|calls]
 //!              [--audit-out PATH] [--out PATH] [--scorecard true]
@@ -38,7 +36,7 @@
 //! `sim` prints the golden digest line, `report` renders the full
 //! digest (text or fixed-field-order JSON). The preset fixes the fleet
 //! shape, so `--scale`/`--racks`/`--homes`/`--cons`/`--vms` conflict
-//! with it; `--seed`, `--engine`, `--fidelity` and `--jobs` compose.
+//! with it; `--seed` and `--jobs` compose.
 
 pub mod args;
 pub mod report;
@@ -50,9 +48,9 @@ use oasis_cluster::shard::{planner_scorecard, run_datacenter_day, DatacenterConf
 use oasis_cluster::{ClusterConfig, ClusterSim, ScenarioSpec};
 use oasis_core::PolicyKind;
 use oasis_faults::{FaultProfile, FaultSchedule};
-use oasis_migration::lab::{LabOptions, MicroLab};
+use oasis_migration::lab::MicroLab;
 use oasis_power::MemoryServerProfile;
-use oasis_sim::{EngineMode, ModelFidelity, SimDuration, WorkerPool};
+use oasis_sim::{SimDuration, WorkerPool};
 use oasis_telemetry::{FoldedMetric, JsonlSink, Level, Telemetry};
 use oasis_trace::{ActivityModel, DayKind, TraceSet};
 use oasis_vm::apps::DesktopWorkload;
@@ -67,12 +65,10 @@ fn usage() -> ! {
          \x20             [--memserver-watts 42.2] [--faults schedule.txt] \\\n\
          \x20             [--fault-profile light|heavy] [--trace-out events.jsonl] \\\n\
          \x20             [--metrics-out metrics.prom] [--log-level debug] \\\n\
-         \x20             [--fidelity per-page|batched] [--engine interval|event] \\\n\
          \x20             [--scale paper|smoke|datacenter] [--racks N] \\\n\
          \x20             [--planner global|local] [--jobs N] [--scenario NAME]\n\
-         oasis week   --policy FulltoPartial --seed 1 [--jobs N] \\\n\
-         \x20             [--fidelity per-page|batched] [--engine interval|event]\n\
-         oasis micro  --seed 1 [--fidelity per-page|batched]\n\
+         oasis week   --policy FulltoPartial --seed 1 [--jobs N]\n\
+         oasis micro  --seed 1\n\
          oasis report --policy FulltoPartial --day weekday --seed 1 \\\n\
          \x20             [--format text|json] [--top 10] [--wall true] \\\n\
          \x20             [--folded profile.folded] [--folded-metric wall|sim|calls] \\\n\
@@ -128,20 +124,6 @@ fn scenario_from(args: &Args) -> Option<ScenarioSpec> {
     }))
 }
 
-/// Engine/fidelity selection for a scenario run: explicit flags win,
-/// the environment (`OASIS_ENGINE`/`OASIS_FIDELITY`) fills the rest.
-fn scenario_select(args: &Args) -> (EngineMode, ModelFidelity) {
-    let engine = args
-        .get("engine")
-        .map(|e| e.parse().unwrap_or_else(|e| fail(e)))
-        .unwrap_or_else(EngineMode::from_env);
-    let fidelity = args
-        .get("fidelity")
-        .map(|f| f.parse().unwrap_or_else(|e| fail(e)))
-        .unwrap_or_else(ModelFidelity::from_env);
-    (engine, fidelity)
-}
-
 /// Epoch-planner policy requested by `--planner` (global by default).
 fn planner_from(args: &Args) -> PlannerScope {
     match args.get("planner") {
@@ -184,12 +166,6 @@ fn cluster_config(args: &Args) -> ClusterConfig {
         let watts: f64 = watts.parse().unwrap_or_else(|_| fail("bad --memserver-watts"));
         builder = builder.memserver(MemoryServerProfile::with_budget_watts(watts));
     }
-    if let Some(f) = args.get("fidelity") {
-        builder = builder.fidelity(f.parse().unwrap_or_else(|e| fail(e)));
-    }
-    if let Some(e) = args.get("engine") {
-        builder = builder.engine(e.parse().unwrap_or_else(|e| fail(e)));
-    }
     if let Some(path) = args.get("trace") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(e));
         let set = TraceSet::from_text(&text).unwrap_or_else(|e| fail(e));
@@ -228,8 +204,6 @@ const BASE_FLAGS: &[&str] = &[
     "memserver-watts",
     "trace",
     "jobs",
-    "fidelity",
-    "engine",
 ];
 
 /// The worker pool requested by `--jobs`, falling back to `OASIS_JOBS`
@@ -259,8 +233,6 @@ const SIM_FLAGS: &[&str] = &[
     "trace-out",
     "metrics-out",
     "log-level",
-    "fidelity",
-    "engine",
     "scale",
     "racks",
     "planner",
@@ -302,8 +274,8 @@ fn write_metrics(telemetry: &Telemetry, path: &str) {
 }
 
 /// Runs a sharded multi-rack day and prints the fleet summary:
-/// totals, the epoch planner's rebalance ledger, SLA violations and
-/// the event engine's skip accounting. Deterministic for a fixed seed,
+/// totals, the epoch planner's rebalance ledger and SLA violations.
+/// Deterministic for a fixed seed,
 /// byte-identical across `--jobs` worker counts.
 fn cmd_sim_datacenter(args: &Args, racks: u32) {
     for flag in ["trace-out", "metrics-out", "log-level"] {
@@ -313,7 +285,6 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
     let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
-    let stats = report.stats_total();
     println!(
         "datacenter {:<14} racks={} hosts={} vms={} planner={}",
         dc.base.policy, report.racks, report.hosts, report.vms, report.planner
@@ -329,10 +300,6 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
         "rebalance: grants={} bytes={}   sla violations (>10s): {}",
         report.rebalance_grants, report.rebalance_bytes, sla
     );
-    println!(
-        "engine: replays={} cached-host-intervals={} fetch-skipped={}",
-        stats.planner_replays, stats.cached_host_intervals, stats.fetch_skipped
-    );
 }
 
 /// Runs a named scenario from the registry and prints its digest line —
@@ -347,8 +314,7 @@ fn cmd_sim_scenario(args: &Args, spec: &ScenarioSpec) {
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
     let report =
-        scenarios::run_scenario_with(&pool_from(args), spec, seed, Some(scenario_select(args)))
-            .unwrap_or_else(|e| fail(e));
+        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
     println!("{}", report.digest());
     println!("guards: {}", spec.guards);
 }
@@ -400,8 +366,6 @@ const REPORT_FLAGS: &[&str] = &[
     "trace",
     "faults",
     "fault-profile",
-    "fidelity",
-    "engine",
     "format",
     "top",
     "wall",
@@ -459,8 +423,7 @@ fn cmd_report_scenario(args: &Args, spec: &ScenarioSpec) {
     }
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
     let report =
-        scenarios::run_scenario_with(&pool_from(args), spec, seed, Some(scenario_select(args)))
-            .unwrap_or_else(|e| fail(e));
+        scenarios::run_scenario_on(&pool_from(args), spec, seed).unwrap_or_else(|e| fail(e));
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_scenario_text(spec, &report),
         "json" => report::render_scenario_json(&report),
@@ -522,9 +485,7 @@ fn cmd_week(args: Args) {
 
 fn cmd_micro(args: Args) {
     let seed = args.get_or("seed", 1u64).unwrap_or_else(|e| fail(e));
-    let fidelity: ModelFidelity =
-        args.get_or("fidelity", ModelFidelity::from_env()).unwrap_or_else(|e| fail(e));
-    let mut lab = MicroLab::with_options(seed, LabOptions { fidelity, ..LabOptions::default() });
+    let mut lab = MicroLab::new(seed);
     lab.prime_os();
     lab.run_workload(&DesktopWorkload::workload1());
     lab.idle_wait(SimDuration::from_mins(5));
@@ -605,7 +566,7 @@ pub fn run() {
         "sim" => cmd_sim(Args::parse(argv, SIM_FLAGS).unwrap_or_else(|e| fail(e))),
         "week" => cmd_week(Args::parse(argv, BASE_FLAGS).unwrap_or_else(|e| fail(e))),
         "report" => cmd_report(Args::parse(argv, REPORT_FLAGS).unwrap_or_else(|e| fail(e))),
-        "micro" => cmd_micro(Args::parse(argv, &["seed", "fidelity"]).unwrap_or_else(|e| fail(e))),
+        "micro" => cmd_micro(Args::parse(argv, &["seed"]).unwrap_or_else(|e| fail(e))),
         "trace" => cmd_trace(argv),
         _ => usage(),
     }

@@ -218,8 +218,8 @@ pub fn render_text(run: &RunReport, top: usize, include_wall: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "vm-intervals={} quiescent={} ({:.1}%) — sizing evidence for the event \
-         engine's structural skipping (DESIGN.md §17–18)",
+        "vm-intervals={} quiescent={} ({:.1}%) — upper bound on the work an \
+         interval-skipping day loop could save",
         q.vm_intervals,
         q.vm_quiescent,
         q.vm_fraction() * 100.0
@@ -228,13 +228,12 @@ pub fn render_text(run: &RunReport, top: usize, include_wall: bool) -> String {
 }
 
 /// Renders the datacenter digest: fleet totals, the epoch planner's
-/// rebalance ledger, the event engine's skip accounting, and one
+/// rebalance ledger, and one
 /// fixed-order line per rack (energy, SLA violations, migrations,
 /// quiescent fraction). Byte-deterministic for a fixed seed — across
 /// reruns and across `--jobs`/`OASIS_JOBS` worker counts, which the
 /// shard-equivalence suite and the unit test below both enforce.
 pub fn render_datacenter_text(report: &mut DatacenterReport) -> String {
-    let stats = report.stats_total();
     let sla = report.sla_violations(SLA_THRESHOLD_SECS);
     let mut out = String::new();
     let _ = writeln!(out, "== datacenter ==");
@@ -254,11 +253,6 @@ pub fn render_datacenter_text(report: &mut DatacenterReport) -> String {
         out,
         "rebalance: grants={} bytes={}",
         report.rebalance_grants, report.rebalance_bytes
-    );
-    let _ = writeln!(
-        out,
-        "engine: replays={} cached-host-intervals={} fetch-skipped={}",
-        stats.planner_replays, stats.cached_host_intervals, stats.fetch_skipped
     );
     let _ = writeln!(out, "sla violations (>{SLA_THRESHOLD_SECS:.0}s): {sla}");
     let _ = writeln!(out);
@@ -281,7 +275,6 @@ pub fn render_datacenter_text(report: &mut DatacenterReport) -> String {
 /// The datacenter digest as JSON (field order fixed for byte-stable
 /// artifacts, like [`render_json`]).
 pub fn render_datacenter_json(report: &mut DatacenterReport) -> String {
-    let stats = report.stats_total();
     let sla = report.sla_violations(SLA_THRESHOLD_SECS);
     let mut out = String::from("{");
     let _ = write!(
@@ -297,11 +290,6 @@ pub fn render_datacenter_json(report: &mut DatacenterReport) -> String {
         report.rebalance_grants,
         report.rebalance_bytes,
         sla
-    );
-    let _ = write!(
-        out,
-        r#","engine":{{"planner_replays":{},"cached_host_intervals":{},"fetch_skipped":{}}}"#,
-        stats.planner_replays, stats.cached_host_intervals, stats.fetch_skipped
     );
     out.push_str(",\"racks_digest\":[");
     for (rack, r) in report.rack_reports.iter_mut().enumerate() {
@@ -329,7 +317,7 @@ pub fn render_datacenter_json(report: &mut DatacenterReport) -> String {
 /// Renders a scenario digest as human-readable text: the headline
 /// digest line, the guards statement, and the per-generation energy
 /// split. Fixed precision throughout — byte-deterministic for a fixed
-/// seed across engines, fidelities, and worker counts.
+/// seed and across worker counts.
 pub fn render_scenario_text(spec: &oasis_cluster::ScenarioSpec, r: &ScenarioReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== scenario {} ==", r.name);

@@ -74,8 +74,7 @@ impl HostGeneration {
 /// A synchronized activity spike (flash crowd): every `participation`-th
 /// user's sampled day is forced active over the window, via
 /// [`oasis_trace::UserDay::spike`]. Applied after trace sampling and
-/// rotation, before the day starts, so both engines observe identical
-/// session edges.
+/// rotation, before the day starts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ActivitySpike {
     /// First interval of the spike window (wraps at midnight).
@@ -154,19 +153,6 @@ pub struct ClusterConfig {
     /// workloads behave at least as well — the `server_farm` bench tests
     /// that claim with a web/database/cluster-node mix.
     pub workload_mix: Vec<(WorkloadClass, f64)>,
-    /// Page-level model fidelity: per-page hot loops or their batched
-    /// equivalents. The statistical cluster day does not depend on the
-    /// choice — the two fidelities are bit-identical, which the
-    /// `fidelity_equivalence` suite locks across seeds and fault
-    /// schedules. Defaults to the `OASIS_FIDELITY` environment variable
-    /// (per-page when unset).
-    pub fidelity: oasis_sim::ModelFidelity,
-    /// Day-loop engine: the interval walker or the event-driven
-    /// skip-ahead core. The two are bit-identical — the engine leg of
-    /// the `fidelity_equivalence` suite locks reports and telemetry
-    /// streams across seeds and fault schedules. Defaults to the
-    /// `OASIS_ENGINE` environment variable (interval walker when unset).
-    pub engine: oasis_sim::EngineMode,
     /// Host generations of a heterogeneous fleet, assigned round-robin
     /// by host index. Empty (the default) means a homogeneous fleet
     /// drawn entirely from [`ClusterConfig::host_profile`]; a
@@ -270,8 +256,6 @@ impl Default for ClusterConfigBuilder {
                 trace_seed: None,
                 placement: PlacementStrategy::Random,
                 workload_mix: vec![(WorkloadClass::Desktop, 1.0)],
-                fidelity: oasis_sim::ModelFidelity::from_env(),
-                engine: oasis_sim::EngineMode::from_env(),
                 generations: Vec::new(),
                 spike: None,
                 reboots: RebootSchedule::none(),
@@ -382,18 +366,6 @@ impl ClusterConfigBuilder {
     /// Sets the VM workload mix (weights need not sum to one).
     pub fn workload_mix(mut self, mix: Vec<(WorkloadClass, f64)>) -> Self {
         self.config.workload_mix = mix;
-        self
-    }
-
-    /// Sets the page-level model fidelity.
-    pub fn fidelity(mut self, f: oasis_sim::ModelFidelity) -> Self {
-        self.config.fidelity = f;
-        self
-    }
-
-    /// Sets the day-loop engine.
-    pub fn engine(mut self, e: oasis_sim::EngineMode) -> Self {
-        self.config.engine = e;
         self
     }
 
@@ -571,32 +543,6 @@ mod tests {
         assert_eq!(c.policy, PolicyKind::Default);
         assert_eq!(c.day, DayKind::Weekend);
         assert_eq!(c.seed, 99);
-    }
-
-    #[test]
-    fn fidelity_defaults_and_overrides() {
-        use oasis_sim::ModelFidelity;
-        // The test environment does not set OASIS_FIDELITY, so the
-        // default is the per-page reference model.
-        if std::env::var(oasis_sim::fidelity::FIDELITY_ENV).is_err() {
-            let c = ClusterConfig::builder().build().unwrap();
-            assert_eq!(c.fidelity, ModelFidelity::PerPage);
-        }
-        let c = ClusterConfig::builder().fidelity(ModelFidelity::Batched).build().unwrap();
-        assert_eq!(c.fidelity, ModelFidelity::Batched);
-    }
-
-    #[test]
-    fn engine_defaults_and_overrides() {
-        use oasis_sim::EngineMode;
-        // The test environment does not set OASIS_ENGINE, so the default
-        // is the reference interval walker.
-        if std::env::var(oasis_sim::mode::ENGINE_ENV).is_err() {
-            let c = ClusterConfig::builder().build().unwrap();
-            assert_eq!(c.engine, EngineMode::Interval);
-        }
-        let c = ClusterConfig::builder().engine(EngineMode::EventDriven).build().unwrap();
-        assert_eq!(c.engine, EngineMode::EventDriven);
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //! * [`config`] — cluster configuration with a validating builder.
 //! * [`sim`] — the interval-driven simulator executing the manager's
 //!   plans against the modeled cluster.
-//! * [`engine`] — the event-driven skip-ahead engine: same observable
-//!   behaviour, selected with `OASIS_ENGINE=event` (or `--engine`),
-//!   locked byte-identical by the three-way equivalence battery.
 //! * [`results`] — the per-run report every figure is printed from.
 //! * [`experiments`] — canned configurations for each table and figure.
 //! * [`scenarios`] — the named stress-scenario registry (heterogeneous
@@ -23,8 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
-mod events;
 pub mod experiments;
 pub mod results;
 pub mod scenarios;
@@ -34,7 +29,6 @@ pub mod sim;
 pub use config::{
     ActivitySpike, ClusterConfig, ClusterConfigBuilder, HostGeneration, ScenarioSpec,
 };
-pub use engine::EngineStats;
 pub use results::{DecisionCounts, SimReport, VmPlacement};
 pub use scenarios::{GenerationEnergy, ScenarioReport};
 pub use shard::{

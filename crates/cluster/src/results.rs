@@ -126,8 +126,8 @@ pub struct SimReport {
     /// Per-host active/idle/transition energy decomposition and per-VM
     /// demand-weighted shares, in integer millijoules.
     pub energy: EnergyLedger,
-    /// Per-host and per-VM quiescent-interval counts (sizing evidence for
-    /// event-driven interval skipping).
+    /// Per-host and per-VM quiescent-interval counts: how much of the
+    /// day nothing changed.
     pub quiescence: QuiescenceLedger,
     /// Planner and recovery decision counters.
     pub decisions: DecisionCounts,

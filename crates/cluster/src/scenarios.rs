@@ -7,10 +7,10 @@
 //! timezone-staggered multi-rack days — into one named, seeded run:
 //! `oasis sim --scenario <name>`. The registry exists to be *locked*:
 //! `tests/scenario_golden.rs` pins each scenario's [`ScenarioReport`]
-//! digest byte-for-byte per seed, across both engines, both fidelities,
-//! and worker counts, so any change to planner, energy accounting, fault
-//! recovery, or the shard driver that shifts observable behaviour fails
-//! a named scenario instead of slipping through.
+//! digest byte-for-byte per seed and across worker counts, so any
+//! change to planner, energy accounting, fault recovery, or the shard
+//! driver that shifts observable behaviour fails a named scenario
+//! instead of slipping through.
 //!
 //! The digest is intentionally compact — headline energy, SLA
 //! violations, migration bytes, fault/recovery/reboot counters, and the
@@ -339,7 +339,7 @@ impl ScenarioReport {
 // ---------------------------------------------------------------------------
 
 /// Folds one rack's per-host ledger into the per-generation split.
-/// Integer millijoule sums in fixed host order — exact on any engine.
+/// Integer millijoule sums in fixed host order — exact.
 fn accumulate_generations(
     spec: &ScenarioSpec,
     seed: u64,
@@ -361,36 +361,13 @@ fn accumulate_generations(
 
 /// Runs `spec` for one seed and reduces the outcome to its digest.
 ///
-/// Single-rack specs run the monolithic day (whichever engine and
-/// fidelity the config selected); multi-rack specs go through the shard
-/// driver on `pool` under the global epoch planner. Either way the
-/// digest is assembled from engine-invariant report fields only.
+/// Single-rack specs run the monolithic day; multi-rack specs go
+/// through the shard driver on `pool` under the global epoch planner.
 pub fn run_scenario_on(
     pool: &WorkerPool,
     spec: &ScenarioSpec,
     seed: u64,
 ) -> Result<ScenarioReport, ConfigError> {
-    run_scenario_with(pool, spec, seed, None)
-}
-
-/// [`run_scenario_on`] with an explicit engine/fidelity selection
-/// overriding the environment. The golden suite drives its equivalence
-/// matrix through this — process-global env vars would race across
-/// parallel test threads.
-pub fn run_scenario_with(
-    pool: &WorkerPool,
-    spec: &ScenarioSpec,
-    seed: u64,
-    select: Option<(oasis_sim::EngineMode, oasis_sim::ModelFidelity)>,
-) -> Result<ScenarioReport, ConfigError> {
-    let configure = |seed: u64| -> Result<crate::config::ClusterConfig, ConfigError> {
-        let mut cfg = spec.cluster_config(seed)?;
-        if let Some((engine, fidelity)) = select {
-            cfg.engine = engine;
-            cfg.fidelity = fidelity;
-        }
-        Ok(cfg)
-    };
     let gen_count = spec.generations.len().max(1);
     let mut split: Vec<GenerationEnergy> = (0..gen_count)
         .map(|g| GenerationEnergy {
@@ -406,7 +383,7 @@ pub fn run_scenario_with(
     let mut host_counts = vec![0u32; gen_count];
 
     let report = if spec.racks <= 1 {
-        let mut report = ClusterSim::new(configure(seed)?).run_day();
+        let mut report = ClusterSim::new(spec.cluster_config(seed)?).run_day();
         accumulate_generations(spec, seed, &report, &mut split, &mut host_counts)?;
         ScenarioReport {
             name: spec.name.to_string(),
@@ -426,7 +403,7 @@ pub fn run_scenario_with(
         }
     } else {
         let dc = DatacenterConfig {
-            base: configure(seed)?,
+            base: spec.cluster_config(seed)?,
             racks: spec.racks,
             planner: PlannerScope::Global,
         };

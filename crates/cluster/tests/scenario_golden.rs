@@ -1,9 +1,8 @@
 //! The scenario library's golden regression suite.
 //!
 //! Every registered scenario's [`ScenarioReport`] digest is pinned
-//! byte-for-byte per seed, and the same bytes must come out of both
-//! day-loop engines, both page-model fidelities, and (for the sharded
-//! scenario) any worker count. A planner, accounting, fault-recovery,
+//! byte-for-byte per seed, and (for the sharded scenario) the same
+//! bytes must come out of any worker count. A planner, accounting, fault-recovery,
 //! or shard-driver change that shifts observable behaviour fails here
 //! by name — with the `guards` line saying what was being protected.
 //!
@@ -15,19 +14,11 @@
 //! ledger re-sum, generation-split exactness) and the homogeneous
 //! collapse differential test.
 
-use oasis_cluster::scenarios::{self, run_scenario_with, SLA_THRESHOLD_SECS};
+use oasis_cluster::scenarios::{self, run_scenario_on, SLA_THRESHOLD_SECS};
 use oasis_cluster::sim::ClusterSim;
 use oasis_sim::pool::WorkerPool;
-use oasis_sim::{EngineMode, ModelFidelity};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
-
-const MATRIX: [(EngineMode, ModelFidelity); 4] = [
-    (EngineMode::Interval, ModelFidelity::PerPage),
-    (EngineMode::Interval, ModelFidelity::Batched),
-    (EngineMode::EventDriven, ModelFidelity::PerPage),
-    (EngineMode::EventDriven, ModelFidelity::Batched),
-];
 
 /// The pinned digests: `(scenario, seed, digest bytes)`.
 #[rustfmt::skip]
@@ -61,23 +52,18 @@ fn golden_for(name: &str, seed: u64) -> &'static str {
         .2
 }
 
-/// Locks one scenario's digest across the full engine × fidelity matrix
-/// for every seed, against the pinned bytes.
+/// Locks one scenario's digest for every seed against the pinned bytes.
 fn lock_scenario(name: &str) {
     let spec = scenarios::find(name).expect("scenario registered");
     let pool = WorkerPool::new(2);
     for seed in SEEDS {
-        let expect = golden_for(name, seed);
-        for (engine, fidelity) in MATRIX {
-            let report = run_scenario_with(&pool, &spec, seed, Some((engine, fidelity)))
-                .expect("scenario runs");
-            assert_eq!(
-                report.digest(),
-                expect,
-                "{name} seed {seed} drifted under {engine:?}/{fidelity:?}\n  guards: {}",
-                spec.guards
-            );
-        }
+        let report = run_scenario_on(&pool, &spec, seed).expect("scenario runs");
+        assert_eq!(
+            report.digest(),
+            golden_for(name, seed),
+            "{name} seed {seed} drifted\n  guards: {}",
+            spec.guards
+        );
     }
 }
 
@@ -120,13 +106,7 @@ fn follow_the_sun_is_jobs_invariant() {
         let expect = golden_for("follow_the_sun", seed);
         for jobs in [1, 2, 4] {
             let pool = WorkerPool::new(jobs);
-            let report = run_scenario_with(
-                &pool,
-                &spec,
-                seed,
-                Some((EngineMode::Interval, ModelFidelity::PerPage)),
-            )
-            .unwrap();
+            let report = run_scenario_on(&pool, &spec, seed).unwrap();
             assert_eq!(report.digest(), expect, "jobs={jobs} changed the bytes at seed {seed}");
         }
     }
@@ -172,13 +152,7 @@ fn scenario_properties_hold_for_every_seed() {
     let pool = WorkerPool::new(2);
     for spec in scenarios::all() {
         for seed in SEEDS {
-            let digest = run_scenario_with(
-                &pool,
-                &spec,
-                seed,
-                Some((EngineMode::Interval, ModelFidelity::PerPage)),
-            )
-            .unwrap();
+            let digest = run_scenario_on(&pool, &spec, seed).unwrap();
             // Exactness of the split: integer sums, no remainder lost.
             let ledger_total: u64 = digest.generation_total_mj();
             assert_eq!(
@@ -231,13 +205,7 @@ fn print_golden_digests() {
     let pool = WorkerPool::new(2);
     for spec in scenarios::all() {
         for seed in SEEDS {
-            let report = run_scenario_with(
-                &pool,
-                &spec,
-                seed,
-                Some((EngineMode::Interval, ModelFidelity::PerPage)),
-            )
-            .unwrap();
+            let report = run_scenario_on(&pool, &spec, seed).unwrap();
             println!("    (\"{}\", {}, \"{}\"),", spec.name, seed, report.digest());
         }
     }

@@ -4,14 +4,14 @@
 //!
 //! * **Collapse**: a sharded day with `racks = 1` is the monolithic
 //!   [`ClusterSim`] day, byte for byte — same `Debug` report, same
-//!   golden telemetry stream — on both engines, across seeds, with and
-//!   without a fault schedule. Rack 0's config is the template verbatim
+//!   golden telemetry stream — across seeds, with and without a fault
+//!   schedule. Rack 0's config is the template verbatim
 //!   and a single rack gets no barriers and no epoch planner, so the
 //!   sharded driver must execute exactly the monolithic statement
 //!   sequence.
 //! * **Schedule independence**: a multi-rack day is byte-identical
 //!   across worker counts (`WorkerPool::sequential` vs parallel — the
-//!   `OASIS_JOBS` axis) and across engines. Epoch barriers plus the
+//!   `OASIS_JOBS` axis) under either epoch planner. Epoch barriers plus the
 //!   pure rebalance pass are the determinism argument (DESIGN.md §18);
 //!   this suite is its enforcement.
 
@@ -24,7 +24,7 @@ use oasis_cluster::shard::{
 use oasis_cluster::{ClusterConfig, ClusterSim};
 use oasis_core::PolicyKind;
 use oasis_faults::{Fault, FaultClass, FaultSchedule};
-use oasis_sim::{EngineMode, ModelFidelity, SimDuration, SimTime, WorkerPool};
+use oasis_sim::{SimDuration, SimTime, WorkerPool};
 use oasis_telemetry::{JsonlSink, Level, Telemetry};
 
 /// A `Write` handle over a shared buffer, so the test can read back what
@@ -49,7 +49,7 @@ impl SharedBuf {
     }
 }
 
-/// The fault day from the fidelity suite: wake failures, a memory-server
+/// The fault day from `day_golden.rs`: wake failures, a memory-server
 /// crash, a degraded link.
 fn fault_schedule() -> FaultSchedule {
     let mut faults = Vec::new();
@@ -79,26 +79,22 @@ fn fault_schedule() -> FaultSchedule {
     FaultSchedule::new(faults)
 }
 
-/// Smoke-scale rack template with engine and fidelity pinned explicitly
-/// (deterministic under the CI engine/fidelity matrices).
-fn template(engine: EngineMode, seed: u64, faults: FaultSchedule) -> ClusterConfig {
-    let mut cfg = ClusterConfig::builder()
+/// Smoke-scale rack template with lossy wake-ups.
+fn template(seed: u64, faults: FaultSchedule) -> ClusterConfig {
+    ClusterConfig::builder()
         .policy(PolicyKind::FullToPartial)
         .home_hosts(6)
         .consolidation_hosts(2)
         .vms_per_host(10)
         .seed(seed)
         .wol_loss_rate(0.3)
-        .fidelity(ModelFidelity::Batched)
         .faults(faults)
         .build()
-        .expect("valid configuration");
-    cfg.engine = engine;
-    cfg
+        .expect("valid configuration")
 }
 
-fn dc(engine: EngineMode, racks: u32, seed: u64, faults: FaultSchedule) -> DatacenterConfig {
-    DatacenterConfig { base: template(engine, seed, faults), racks, planner: PlannerScope::Global }
+fn dc(racks: u32, seed: u64, faults: FaultSchedule) -> DatacenterConfig {
+    DatacenterConfig { base: template(seed, faults), racks, planner: PlannerScope::Global }
 }
 
 /// Blanks the wall-clock span percentiles — the only real-time-derived
@@ -147,78 +143,43 @@ fn sharded_day(pool: &WorkerPool, dc: &DatacenterConfig) -> (Vec<String>, Vec<St
 
 #[test]
 fn single_rack_sharded_day_is_the_monolithic_day() {
-    for engine in [EngineMode::Interval, EngineMode::EventDriven] {
-        for seed in [1u64, 2, 3] {
-            let (mono_stream, mono_report) =
-                monolithic_day(template(engine, seed, FaultSchedule::none()));
-            let (streams, reports) =
-                sharded_day(&WorkerPool::sequential(), &dc(engine, 1, seed, FaultSchedule::none()));
-            assert!(!mono_stream.is_empty());
-            assert_eq!(
-                reports,
-                vec![mono_report],
-                "engine {engine:?} seed {seed}: report diverged"
-            );
-            assert_eq!(
-                streams,
-                vec![mono_stream],
-                "engine {engine:?} seed {seed}: stream diverged"
-            );
-        }
+    for seed in [1u64, 2, 3] {
+        let (mono_stream, mono_report) = monolithic_day(template(seed, FaultSchedule::none()));
+        let (streams, reports) =
+            sharded_day(&WorkerPool::sequential(), &dc(1, seed, FaultSchedule::none()));
+        assert!(!mono_stream.is_empty());
+        assert_eq!(reports, vec![mono_report], "seed {seed}: report diverged");
+        assert_eq!(streams, vec![mono_stream], "seed {seed}: stream diverged");
     }
 }
 
 #[test]
 fn single_rack_sharded_day_under_faults_is_the_monolithic_day() {
-    for engine in [EngineMode::Interval, EngineMode::EventDriven] {
-        for seed in [1u64, 2, 3] {
-            let (mono_stream, mono_report) =
-                monolithic_day(template(engine, seed, fault_schedule()));
-            let (streams, reports) =
-                sharded_day(&WorkerPool::sequential(), &dc(engine, 1, seed, fault_schedule()));
-            assert!(mono_stream.contains("\"kind\":\"fault_injected\""));
-            assert_eq!(
-                reports,
-                vec![mono_report],
-                "engine {engine:?} seed {seed}: faulted report diverged"
-            );
-            assert_eq!(
-                streams,
-                vec![mono_stream],
-                "engine {engine:?} seed {seed}: faulted stream diverged"
-            );
-        }
+    for seed in [1u64, 2, 3] {
+        let (mono_stream, mono_report) = monolithic_day(template(seed, fault_schedule()));
+        let (streams, reports) =
+            sharded_day(&WorkerPool::sequential(), &dc(1, seed, fault_schedule()));
+        assert!(mono_stream.contains("\"kind\":\"fault_injected\""));
+        assert_eq!(reports, vec![mono_report], "seed {seed}: faulted report diverged");
+        assert_eq!(streams, vec![mono_stream], "seed {seed}: faulted stream diverged");
     }
 }
 
 #[test]
 fn multi_rack_day_is_bit_identical_across_worker_counts() {
-    for engine in [EngineMode::Interval, EngineMode::EventDriven] {
-        let cfg = dc(engine, 4, 1, FaultSchedule::none());
+    for planner in [PlannerScope::Global, PlannerScope::Local] {
+        let cfg = dc(4, 1, FaultSchedule::none()).planner(planner);
         let (seq_streams, seq_reports) = sharded_day(&WorkerPool::sequential(), &cfg);
         let (par_streams, par_reports) = sharded_day(&WorkerPool::new(4), &cfg);
         assert!(seq_streams.iter().all(|s| !s.is_empty()));
-        assert_eq!(seq_reports, par_reports, "engine {engine:?}: parallel reports diverged");
-        assert_eq!(seq_streams, par_streams, "engine {engine:?}: parallel streams diverged");
-    }
-}
-
-#[test]
-fn multi_rack_day_is_bit_identical_across_engines() {
-    for planner in [PlannerScope::Global, PlannerScope::Local] {
-        let pool = WorkerPool::new(2);
-        let interval = dc(EngineMode::Interval, 3, 2, FaultSchedule::none()).planner(planner);
-        let event = dc(EngineMode::EventDriven, 3, 2, FaultSchedule::none()).planner(planner);
-        let (i_streams, i_reports) = sharded_day(&pool, &interval);
-        let (e_streams, e_reports) = sharded_day(&pool, &event);
-        assert_eq!(i_reports, e_reports, "planner {planner:?}: event-engine reports diverged");
-        assert_eq!(i_streams, e_streams, "planner {planner:?}: event-engine streams diverged");
+        assert_eq!(seq_reports, par_reports, "planner {planner:?}: parallel reports diverged");
+        assert_eq!(seq_streams, par_streams, "planner {planner:?}: parallel streams diverged");
     }
 }
 
 #[test]
 fn datacenter_summary_is_deterministic_across_worker_counts() {
-    let cfg = dc(EngineMode::EventDriven, 4, 3, fault_schedule());
+    let cfg = dc(4, 3, fault_schedule());
     let summarize = |pool: &WorkerPool| {
         let mut report = run_datacenter_day(pool, &cfg, &|| 0.0);
         (
@@ -230,7 +191,6 @@ fn datacenter_summary_is_deterministic_across_worker_counts() {
             report.rebalance_grants,
             report.rebalance_bytes,
             report.sla_violations(10.0),
-            format!("{:?}", report.stats_total()),
         )
     };
     assert_eq!(summarize(&WorkerPool::sequential()), summarize(&WorkerPool::new(3)));

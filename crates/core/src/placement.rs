@@ -277,12 +277,6 @@ pub struct PlanStats {
     pub candidates_examined: u32,
     /// Aggregate resident VM demand across the view, whole MiB.
     pub demand_mib: u64,
-    /// Hosts the vacate pass scanned (one `vacate_host_scan` profile
-    /// scope each) — cached so an event-engine replay of an unchanged
-    /// round can re-emit the exact same scope sequence.
-    pub vacate_scans: u32,
-    /// Hosts the drain pass scanned (`drain_host_scan` scopes).
-    pub drain_scans: u32,
 }
 
 /// Like [`plan_consolidation`], wrapped in a `placement_search` span and
@@ -409,7 +403,6 @@ fn plan_consolidation_inner(
     let mut tentative: Vec<(PlannedAction, HostId, ByteSize, u32)> = Vec::new();
     for host in queue {
         let _host_scan = telemetry.profile("vacate_host_scan");
-        stats.vacate_scans += 1;
         let vms = index.resident_indices(view, host);
         if policy == PolicyKind::OnlyPartial && vms.iter().any(|&vi| view.vms[vi].state.is_active())
         {
@@ -508,7 +501,6 @@ fn plan_consolidation_inner(
     let mut drained: Vec<HostId> = Vec::new();
     for host in drain_queue {
         let _host_scan = telemetry.profile("drain_host_scan");
-        stats.drain_scans += 1;
         let vms = index.resident_indices(view, host);
         tentative.clear();
         let mut ok = true;

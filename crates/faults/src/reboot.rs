@@ -88,7 +88,7 @@ impl RebootSchedule {
     }
 
     /// Reboots whose onset falls in `[from, to)`, in canonical order —
-    /// the per-interval query both engines drive the outage from.
+    /// the per-interval query the day loop drives the outage from.
     pub fn onsets_between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &Reboot> {
         self.reboots.iter().filter(move |r| from <= r.start && r.start < to)
     }

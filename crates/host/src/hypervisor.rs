@@ -192,70 +192,6 @@ impl Hypervisor {
         }
     }
 
-    /// Batched equivalent of serial [`guest_access`] calls over the run
-    /// `start..start + writes.len()` (page `start + i` accessed with
-    /// `writes[i]`), stopping at the first absent page.
-    ///
-    /// Returns the number of hits consumed from the front of the run;
-    /// if it is shorter than `writes`, page `start + hits` faulted (or
-    /// the run crossed the table end) and the caller services it exactly
-    /// as in the serial path. One VM lookup, one range update of the
-    /// accessed bits and working set, and one counter add replace the
-    /// per-page walk — with identical resulting state: bitmaps are
-    /// order-insensitive and the counter totals are integer sums.
-    ///
-    /// [`guest_access`]: Hypervisor::guest_access
-    pub fn guest_access_run(
-        &mut self,
-        id: VmId,
-        start: PageNum,
-        writes: &[bool],
-    ) -> Result<u64, HvError> {
-        let hosted = self.vms.get_mut(&id).ok_or(HvError::UnknownVm(id))?;
-        let hits =
-            hosted.table.touch_run(start, writes).map_err(|_| HvError::BadPage(id, start))?;
-        hosted.wss.touch_range(start, hits);
-        for (i, &write) in writes[..hits as usize].iter().enumerate() {
-            if write {
-                hosted.dirty.record(PageNum(start.0 + i as u64));
-            }
-        }
-        self.hits.add(hits);
-        Ok(hits)
-    }
-
-    /// Batched equivalent of serial write [`guest_access`] calls over an
-    /// arbitrary (scattered) page list, stopping at the first absent
-    /// page.
-    ///
-    /// Returns the number of hits consumed from the front of `pages`.
-    /// Duplicates are fine — re-touching a page is idempotent, exactly
-    /// as in the serial loop. Out-of-range pages error with
-    /// [`HvError::BadPage`] after the preceding hits are recorded, like
-    /// the serial path.
-    ///
-    /// [`guest_access`]: Hypervisor::guest_access
-    pub fn guest_access_writes(&mut self, id: VmId, pages: &[PageNum]) -> Result<u64, HvError> {
-        let hosted = self.vms.get_mut(&id).ok_or(HvError::UnknownVm(id))?;
-        let mut hits = 0u64;
-        for &page in pages {
-            match hosted.table.touch(page, true) {
-                Ok(Access::Hit) => {
-                    hosted.wss.touch(page);
-                    hosted.dirty.record(page);
-                    hits += 1;
-                }
-                Ok(Access::Fault) => break,
-                Err(_) => {
-                    self.hits.add(hits);
-                    return Err(HvError::BadPage(id, page));
-                }
-            }
-        }
-        self.hits.add(hits);
-        Ok(hits)
-    }
-
     /// Completes a fault: allocates a frame from the chunk allocator and
     /// installs the fetched page, then replays the access.
     pub fn install_fetched(&mut self, id: VmId, page: PageNum, write: bool) -> Result<(), HvError> {
@@ -383,107 +319,6 @@ mod tests {
         hv.create_partial(vm2, img2).unwrap();
         assert_eq!(hv.memory_demand(), ByteSize::mib(74));
         assert_eq!(hv.vm_count(), 2);
-    }
-
-    /// Serial reference for [`Hypervisor::guest_access_run`] /
-    /// [`Hypervisor::guest_access_writes`]: per-page accesses stopping at
-    /// the first fault.
-    fn serial_accesses(hv: &mut Hypervisor, id: VmId, accesses: &[(PageNum, bool)]) -> u64 {
-        let mut hits = 0;
-        for &(page, write) in accesses {
-            match hv.guest_access(id, page, write).unwrap() {
-                GuestAccess::Hit => hits += 1,
-                GuestAccess::FaultPending(_) => break,
-            }
-        }
-        hits
-    }
-
-    /// Two hypervisors with one partial VM each, pages `0..present`
-    /// installed in identical order.
-    fn partial_pair(present: u64) -> (Hypervisor, Hypervisor, VmId) {
-        let id = VmId(11);
-        let make = || {
-            let mut hv = Hypervisor::new(ByteSize::mib(256));
-            let (mut vm, img) = small_vm(id.0);
-            vm.make_partial(ByteSize::ZERO);
-            hv.create_partial(vm, img).unwrap();
-            for p in 0..present {
-                hv.install_fetched(id, PageNum(p), false).unwrap();
-            }
-            hv
-        };
-        (make(), make(), id)
-    }
-
-    #[test]
-    fn guest_access_run_matches_serial_loop() {
-        let (mut serial, mut batched, id) = partial_pair(10);
-        let writes = [true, false, false, true, true, false, true, false, true, true, false, true];
-        let start = PageNum(2);
-        let accesses: Vec<(PageNum, bool)> =
-            writes.iter().enumerate().map(|(i, &w)| (PageNum(start.0 + i as u64), w)).collect();
-        let want = serial_accesses(&mut serial, id, &accesses);
-        let got = batched.guest_access_run(id, start, &writes).unwrap();
-        assert_eq!(got, want, "run stops at the first absent page");
-        assert_eq!(got, 8, "pages 2..10 hit, page 10 faults");
-        assert_eq!(batched.hits.get(), serial.hits.get());
-        let (s, b) = (serial.vm_mut(id).unwrap(), batched.vm_mut(id).unwrap());
-        assert_eq!(b.wss.pages(), s.wss.pages());
-        assert_eq!(b.dirty.take_epoch(), s.dirty.take_epoch());
-        assert_eq!(b.table.present_count(), s.table.present_count());
-        // The serial loop touched the faulting page (faults counter +1);
-        // a batched caller replays exactly that access next.
-        assert_eq!(
-            batched.guest_access(id, PageNum(start.0 + got), writes[got as usize]).unwrap(),
-            GuestAccess::FaultPending(PageNum(10))
-        );
-        assert_eq!(batched.faults.get(), serial.faults.get());
-    }
-
-    #[test]
-    fn guest_access_run_full_residency_consumes_all() {
-        let (mut serial, mut batched, id) = partial_pair(20);
-        let writes = vec![true; 16];
-        let accesses: Vec<(PageNum, bool)> = (0..16).map(|i| (PageNum(i), true)).collect();
-        assert_eq!(serial_accesses(&mut serial, id, &accesses), 16);
-        assert_eq!(batched.guest_access_run(id, PageNum(0), &writes).unwrap(), 16);
-        let (s, b) = (serial.vm_mut(id).unwrap(), batched.vm_mut(id).unwrap());
-        assert_eq!(b.dirty.take_epoch(), s.dirty.take_epoch());
-        assert_eq!(b.wss.unique_pages(), s.wss.unique_pages());
-    }
-
-    #[test]
-    fn guest_access_run_out_of_range_start() {
-        let (_, mut hv, id) = partial_pair(4);
-        let beyond = PageNum(64 * 256 + 1);
-        assert_eq!(hv.guest_access_run(id, beyond, &[true]), Err(HvError::BadPage(id, beyond)));
-    }
-
-    #[test]
-    fn guest_access_writes_matches_serial_loop() {
-        let (mut serial, mut batched, id) = partial_pair(12);
-        // Scattered targets with duplicates, ending at an absent page.
-        let pages: Vec<PageNum> =
-            [7u64, 2, 7, 11, 0, 2, 9, 30, 5].iter().map(|&p| PageNum(p)).collect();
-        let accesses: Vec<(PageNum, bool)> = pages.iter().map(|&p| (p, true)).collect();
-        let want = serial_accesses(&mut serial, id, &accesses);
-        let got = batched.guest_access_writes(id, &pages).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(got, 7, "page 30 is absent");
-        assert_eq!(batched.hits.get(), serial.hits.get());
-        let (s, b) = (serial.vm_mut(id).unwrap(), batched.vm_mut(id).unwrap());
-        assert_eq!(b.wss.pages(), s.wss.pages());
-        assert_eq!(b.dirty.take_epoch(), s.dirty.take_epoch());
-    }
-
-    #[test]
-    fn guest_access_writes_bad_page_after_prefix() {
-        let (_, mut hv, id) = partial_pair(6);
-        let beyond = PageNum(64 * 256 + 5);
-        let pages = [PageNum(1), PageNum(3), beyond];
-        assert_eq!(hv.guest_access_writes(id, &pages), Err(HvError::BadPage(id, beyond)));
-        assert_eq!(hv.hits.get(), 2, "prefix hits recorded before the error");
     }
 
     #[test]

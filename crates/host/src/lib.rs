@@ -34,4 +34,4 @@ pub use agent::{HostAgent, HostStats};
 pub use guest::GuestMemoryImage;
 pub use hypervisor::Hypervisor;
 pub use memserver::MemoryServer;
-pub use memtap::{ChunkFetch, Memtap};
+pub use memtap::Memtap;

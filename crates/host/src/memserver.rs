@@ -708,6 +708,61 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_fetches_account_like_serve_page() {
+        let (mut served, mut piped) = (server(), server());
+        for ms in [&mut served, &mut piped] {
+            ms.upload(VmId(1), &pages(0..10, 700), false).unwrap();
+            ms.handoff_to_server().unwrap();
+        }
+        for p in 0..10 {
+            served.serve_page(VmId(1), PageNum(p)).unwrap();
+            piped.begin_fetch(VmId(1), PageNum(p)).unwrap();
+        }
+        assert_eq!(piped.in_flight(), 10);
+        assert_eq!(piped.stats().requests, 0, "accepted fetches are not yet answered");
+        for p in 0..10 {
+            assert_eq!(piped.complete_fetch(VmId(1), PageNum(p)).unwrap(), ByteSize::bytes(700));
+        }
+        assert_eq!(piped.stats(), served.stats());
+        assert_eq!(piped.in_flight(), 0);
+    }
+
+    #[test]
+    fn crash_fuse_mid_pipeline_counts_only_answered_requests() {
+        let mut ms = server();
+        ms.upload(VmId(1), &pages(0..12, 500), false).unwrap();
+        ms.handoff_to_server().unwrap();
+        for p in 0..12 {
+            ms.begin_fetch(VmId(1), PageNum(p)).unwrap();
+        }
+        // The daemon dies right after its fifth answer.
+        ms.schedule_crash_after(5);
+        for p in 0..5 {
+            assert!(ms.complete_fetch(VmId(1), PageNum(p)).is_ok());
+        }
+        assert!(ms.is_crashed());
+        assert_eq!(ms.complete_fetch(VmId(1), PageNum(5)), Err(MsError::Crashed));
+        assert_eq!(ms.stats().requests, 5, "server counts only answered requests");
+        // The unanswered remainder stays queued until reclaimed.
+        assert_eq!(ms.in_flight(), 7);
+        let dropped = ms.abort_fetches();
+        assert_eq!(dropped.len(), 7);
+        assert_eq!(dropped[0], (VmId(1), PageNum(5)));
+        assert_eq!(ms.in_flight(), 0, "the aborted remainder was reclaimed");
+        // After a restart the same requests complete; nothing was counted
+        // twice across the crash.
+        ms.restart().unwrap();
+        for p in 0..12 {
+            ms.begin_fetch(VmId(1), PageNum(p)).unwrap();
+        }
+        for p in 0..12 {
+            ms.complete_fetch(VmId(1), PageNum(p)).unwrap();
+        }
+        assert_eq!(ms.stats().requests, 5 + 12);
+        assert_eq!(ms.in_flight(), 0);
+    }
+
+    #[test]
     fn host_reclaims_drive_from_crashed_daemon() {
         let mut ms = server();
         ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();

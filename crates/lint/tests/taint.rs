@@ -146,32 +146,6 @@ fn env_read_taint_has_its_own_kind() {
 }
 
 #[test]
-fn event_engine_modules_are_sink_territory() {
-    // The skip-ahead engine decides *when* work happens, so its modules
-    // (`engine.rs`, `events.rs` under crates/cluster) are decision-path
-    // sinks like `sim.rs`: a wall-clock or env read reachable from the
-    // day loop or the wake-heap scheduler must be flagged, or the heap
-    // order — and with it every "byte-identical" promise — could silently
-    // depend on the machine.
-    for (path, sink) in [
-        (
-            "crates/cluster/src/engine.rs",
-            "pub fn run_day_event_timed() -> u64 {\n    sample_latency()\n}\n",
-        ),
-        ("crates/cluster/src/events.rs", "pub fn seed_heap() -> u64 {\n    sample_latency()\n}\n"),
-    ] {
-        let findings = taint_findings(&[
-            ("crates/telemetry/src/span.rs", SOURCE),
-            ("crates/telemetry/src/lib.rs", MIDDLE),
-            (path, sink),
-        ]);
-        assert_eq!(findings.len(), 1, "{path}: {findings:?}");
-        assert_eq!(findings[0].file, path);
-        assert!(findings[0].message.contains("wall-clock"), "{}", findings[0].message);
-    }
-}
-
-#[test]
 fn taint_findings_are_deterministically_ordered() {
     // Two sinks reaching the same source: findings must come out sorted
     // by (file, line, rule, message) no matter the input order.

@@ -134,37 +134,6 @@ impl PageTable {
         Ok(Access::Hit)
     }
 
-    /// Length of the run of present pages starting at `start` (0 for
-    /// absent or out-of-range pages).
-    pub fn present_run(&self, start: PageNum) -> u64 {
-        self.present.run_len(start.0 as usize, true) as u64
-    }
-
-    /// Batched equivalent of calling [`touch`](PageTable::touch) once per
-    /// page of `start..start + writes.len()` (page `start + i` touched
-    /// with `writes[i]`), stopping at the first fault.
-    ///
-    /// Returns the number of hits consumed from the front of `writes`;
-    /// the next page after those is either absent (a fault the caller
-    /// services exactly as in the serial path) or past the end of the
-    /// slice. The run is truncated at the table end. The resulting
-    /// accessed/dirty state is identical to the serial loop: accessed
-    /// bits are applied as one range, dirty bits per written page.
-    ///
-    /// Errors with [`PageTableError::OutOfRange`] only when `start`
-    /// itself is beyond the allocation, like the first serial touch.
-    pub fn touch_run(&mut self, start: PageNum, writes: &[bool]) -> Result<u64, PageTableError> {
-        let i = self.check_range(start)?;
-        let hits = (self.present.run_len(i, true)).min(writes.len());
-        self.accessed.set_range(i, hits);
-        for (k, &write) in writes[..hits].iter().enumerate() {
-            if write {
-                self.dirty.set(i + k);
-            }
-        }
-        Ok(hits as u64)
-    }
-
     /// Installs a fetched page into `frame`, completing a fault.
     pub fn install(&mut self, page: PageNum, frame: MachineFrame) -> Result<(), PageTableError> {
         let i = self.check_range(page)?;
@@ -307,62 +276,6 @@ mod tests {
         let mut pt = PageTable::new_resident(30);
         pt.mark_all_dirty();
         assert_eq!(pt.take_dirty().len(), 30);
-    }
-
-    #[test]
-    fn present_run_tracks_residency() {
-        let mut pt = PageTable::new_absent(100);
-        for p in 10..20 {
-            pt.install(PageNum(p), MachineFrame(p)).unwrap();
-        }
-        assert_eq!(pt.present_run(PageNum(10)), 10);
-        assert_eq!(pt.present_run(PageNum(15)), 5);
-        assert_eq!(pt.present_run(PageNum(9)), 0, "absent page");
-        assert_eq!(pt.present_run(PageNum(100)), 0, "out of range");
-        let full = PageTable::new_resident(64);
-        assert_eq!(full.present_run(PageNum(0)), 64);
-    }
-
-    #[test]
-    fn touch_run_matches_serial_touches() {
-        let writes = [true, false, true, true, false, false, true];
-        let mut serial = PageTable::new_resident(50);
-        let mut batched = serial.clone();
-        for (i, &w) in writes.iter().enumerate() {
-            assert_eq!(serial.touch(PageNum(3 + i as u64), w), Ok(Access::Hit));
-        }
-        assert_eq!(batched.touch_run(PageNum(3), &writes), Ok(writes.len() as u64));
-        assert_eq!(batched.accessed_pages(), serial.accessed_pages());
-        assert_eq!(batched.take_dirty(), serial.take_dirty());
-    }
-
-    #[test]
-    fn touch_run_stops_at_first_fault() {
-        let mut pt = PageTable::new_absent(50);
-        pt.install(PageNum(0), MachineFrame(0)).unwrap();
-        pt.install(PageNum(1), MachineFrame(1)).unwrap();
-        // Page 2 is absent: two hits consumed, the fault left for the
-        // caller, no metadata recorded past the run.
-        assert_eq!(pt.touch_run(PageNum(0), &[true; 5]), Ok(2));
-        assert_eq!(pt.accessed_count(), 2);
-        assert_eq!(pt.dirty_count(), 2);
-        assert_eq!(pt.touch(PageNum(2), true), Ok(Access::Fault));
-        // Starting on an absent page consumes nothing, like a first
-        // serial touch that faults.
-        assert_eq!(pt.touch_run(PageNum(2), &[false; 3]), Ok(0));
-        // Out-of-range start errors exactly like touch.
-        assert_eq!(
-            pt.touch_run(PageNum(50), &[true]),
-            Err(PageTableError::OutOfRange(PageNum(50)))
-        );
-    }
-
-    #[test]
-    fn touch_run_truncates_at_table_end() {
-        let mut pt = PageTable::new_resident(10);
-        assert_eq!(pt.touch_run(PageNum(8), &[true; 5]), Ok(2));
-        assert_eq!(pt.accessed_count(), 2);
-        assert_eq!(pt.dirty_count(), 2);
     }
 
     #[test]

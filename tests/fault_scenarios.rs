@@ -222,10 +222,10 @@ fn migration_stalls_abort_cleanly_and_replan() {
 #[test]
 fn mid_chunk_memserver_crash_charges_only_served_pages() {
     // Regression: when a memory-server crash lands in the middle of a
-    // batched memtap fetch, the abort must charge the memtap for exactly
-    // the pages the server actually answered. An earlier batched draft
-    // pre-charged the whole chunk, overstating fetch traffic (faults,
-    // raw and compressed bytes) on every crash.
+    // run of demand faults, memtap is charged for exactly the pages the
+    // server actually answered. The per-page fault path charges a page
+    // only after `serve_page` returns it, so the faults, raw and
+    // compressed bytes stop at the crash.
     use oasis::host::memserver::MsError;
     use oasis::host::{MemoryServer, Memtap};
     use oasis::mem::{ByteSize, PageNum, PAGE_SIZE};
@@ -241,27 +241,40 @@ fn mid_chunk_memserver_crash_charges_only_served_pages() {
     ms.handoff_to_server().unwrap();
     let mut mt = Memtap::new(vm, LinkSpec::gige(), ms.service_time());
 
-    // The daemon dies right after its fifth answer, mid-chunk.
-    ms.schedule_crash_after(5);
-    let pages: Vec<PageNum> = (0..12).map(PageNum).collect();
-    let fetch = mt.fetch_chunk(&mut ms, &pages);
+    // Faults in page order until the server stops answering; returns the
+    // compressed bytes charged and the error that cut the run short.
+    let fault_in = |ms: &mut MemoryServer, mt: &mut Memtap| -> (ByteSize, Option<MsError>) {
+        let mut charged = ByteSize::ZERO;
+        for p in 0..12 {
+            match ms.serve_page(vm, PageNum(p)) {
+                Ok(size) => {
+                    mt.service_fault(size);
+                    charged += size;
+                }
+                Err(e) => return (charged, Some(e)),
+            }
+        }
+        (charged, None)
+    };
 
-    assert_eq!(fetch.aborted, Some(MsError::Crashed));
-    assert_eq!(fetch.served.len(), 5, "five answers landed before the crash");
+    // The daemon dies right after its fifth answer, mid-run.
+    ms.schedule_crash_after(5);
+    let (charged, err) = fault_in(&mut ms, &mut mt);
+    assert_eq!(err, Some(MsError::Crashed));
     let stats = mt.stats();
     assert_eq!(stats.faults, 5, "memtap charged for the served prefix only");
     assert_eq!(stats.raw_bytes, ByteSize::bytes(5 * PAGE_SIZE));
-    assert_eq!(stats.compressed_bytes, fetch.compressed());
+    assert_eq!(stats.compressed_bytes, charged);
+    assert_eq!(charged, batch[..5].iter().map(|&(_, s)| s).sum());
     assert_eq!(ms.stats().requests, 5, "server counted only answered requests");
-    assert_eq!(ms.in_flight(), 0, "the aborted remainder was reclaimed");
     assert!(ms.is_crashed());
 
-    // After a restart the same chunk completes and the accounting resumes
-    // from the prefix — nothing was double-charged across the crash.
+    // After a restart the same pages are served and the accounting
+    // resumes from the prefix — nothing was double-charged across the
+    // crash.
     ms.restart().unwrap();
-    let refetch = mt.fetch_chunk(&mut ms, &pages);
-    assert_eq!(refetch.aborted, None);
-    assert_eq!(refetch.served.len(), 12);
+    let (_, err) = fault_in(&mut ms, &mut mt);
+    assert_eq!(err, None);
     assert_eq!(mt.stats().faults, 5 + 12);
     assert_eq!(ms.stats().requests, 5 + 12);
 }
