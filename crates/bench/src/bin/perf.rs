@@ -7,14 +7,16 @@
 //! * **day** — one full simulated day (FulltoPartial, weekday, 4
 //!   consolidation hosts), reported as wall seconds and simulated
 //!   seconds per wall second;
-//! * **paper day** — one §5.1-scale day (30 homes × 30 VMs) with a
-//!   per-phase wall breakdown from [`DayPhases`]. This workload always
-//!   runs at paper scale regardless of `OASIS_PERF_SCALE`: it is the
-//!   throughput the paper reproduction actually cares about, and at
-//!   ~tens of milliseconds warm it is cheap enough for every CI run.
-//!   An untimed warmup day fills the process-wide trace-sampling cache
-//!   first, so the timed day measures steady state. `--check` holds it
-//!   to an absolute wall budget on top of the regression gates;
+//! * **paper day** — one §5.1-scale day (30 homes × 30 VMs), timed as a
+//!   plain `ClusterSim::new(..).run_day()` and then run again with the
+//!   span profiler attached for a per-phase wall breakdown read from the
+//!   `run_day` scope's children. This workload always runs at paper
+//!   scale regardless of `OASIS_PERF_SCALE`: it is the throughput the
+//!   paper reproduction actually cares about, and at ~tens of
+//!   milliseconds warm it is cheap enough for every CI run. An untimed
+//!   warmup day fills the process-wide trace-sampling cache first, so
+//!   the timed day measures steady state. `--check` holds it to an
+//!   absolute wall budget on top of the regression gates;
 //! * **sweep** — a figure8-style sweep (every figure-8 policy × the
 //!   consolidation-host axis × `OASIS_RUNS` seeds), run once on one
 //!   worker and once on `OASIS_JOBS` workers (default 4), reported as
@@ -23,7 +25,7 @@
 //!   keys): a `Scale::DATACENTER`-shape day across `OASIS_DC_RACKS`
 //!   racks (default 5,000 ≈ 25k hosts / 200k VMs) with the global epoch
 //!   planner, run on the parallel pool and sequentially for the
-//!   rack-parallel speedup, with per-rack wall percentiles.
+//!   rack-parallel speedup.
 //!
 //! Environment: `OASIS_PERF_SCALE=paper|smoke` picks the cluster scale
 //! (default `smoke`, the committed-baseline configuration), `OASIS_RUNS`
@@ -35,15 +37,15 @@
 //! if either throughput drops below half the baseline's (a >2x
 //! regression), which is what CI's bench-smoke job enforces.
 
-use oasis_bench::timing::{monotonic_secs, wall};
+use oasis_bench::timing::wall;
 use oasis_bench::{outln, runs, Reporter};
 use oasis_cluster::experiments::{figure8_at, run_one_at, Scale, CONS_SWEEP};
 use oasis_cluster::shard::{run_datacenter_day, DatacenterConfig, PlannerScope};
-use oasis_cluster::{ClusterConfig, ClusterSim, DayPhases};
+use oasis_cluster::{ClusterConfig, ClusterSim};
 use oasis_core::PolicyKind;
 use oasis_sim::pool::JOBS_ENV;
 use oasis_sim::WorkerPool;
-use oasis_telemetry::{Level, Telemetry};
+use oasis_telemetry::{Level, ProfileTree, Telemetry};
 use oasis_trace::DayKind;
 
 /// Simulated seconds in the day workload (288 five-minute intervals).
@@ -68,6 +70,25 @@ fn dc_budget_secs(racks: u32) -> f64 {
 /// still catching an order-of-magnitude regression outright.
 const PAPER_DAY_BUDGET_SECS: f64 = 0.050;
 
+/// The day's phase scopes (children of `run_day`, in step order), each
+/// with the `day_paper_<key>_secs` report key it fills.
+const PAPER_PHASES: [(&str, &str); 5] = [
+    ("fault_service", "fault"),
+    ("activation", "activation"),
+    ("planner", "planner"),
+    ("fetch", "fetch"),
+    ("accounting", "accounting"),
+];
+
+/// Wall seconds of each [`PAPER_PHASES`] scope under the `run_day` root.
+fn phase_secs(tree: &ProfileTree) -> [f64; 5] {
+    let day = tree.roots.iter().find(|r| r.name == "run_day");
+    PAPER_PHASES.map(|(scope, _)| {
+        day.and_then(|d| d.children.iter().find(|c| c.name == scope))
+            .map_or(0.0, |c| c.total_wall_ns as f64 / 1e9)
+    })
+}
+
 /// Wall-clock throughput measurements for one perf run.
 struct PerfReport {
     scale_name: String,
@@ -77,9 +98,15 @@ struct PerfReport {
     day_sim_secs_per_sec: f64,
     day_paper_wall_secs: f64,
     day_paper_sim_secs_per_sec: f64,
-    day_paper_phases: DayPhases,
-    /// Bracketed wall not captured by any phase bucket (loop overhead,
-    /// report assembly); closes the books so phases + other ≈ total.
+    /// Wall of the profiled paper day: construction plus `run_day`.
+    day_paper_profiled_wall_secs: f64,
+    /// `ClusterSim::new` in the profiled run, trace sampling included.
+    day_paper_construct_secs: f64,
+    /// Per-phase wall of the profiled run, in [`PAPER_PHASES`] order.
+    day_paper_phases: [f64; 5],
+    /// Profiled wall not captured by construction or any phase scope
+    /// (loop overhead, report assembly); closes the books so construct
+    /// + phases + other = the profiled wall.
     day_paper_other_secs: f64,
     /// Fraction of a profiled paper day's bracketed wall covered by the
     /// span profiler's `run_day` tree.
@@ -101,9 +128,6 @@ struct PerfReport {
     day_dc_sim_secs_per_sec: f64,
     day_dc_seq_wall_secs: f64,
     day_dc_speedup: f64,
-    /// Per-rack wall percentiles (construction + stepping + finish).
-    day_dc_rack_p50_secs: f64,
-    day_dc_rack_p99_secs: f64,
     day_dc_rebalance_grants: u64,
 }
 
@@ -113,7 +137,8 @@ impl PerfReport {
             "{{\n  \"bench\": \"perf\",\n  \"scale\": \"{}\",\n  \"jobs\": {},\n  \
              \"sweep_sims\": {},\n  \"day_wall_secs\": {:.4},\n  \
              \"day_sim_secs_per_sec\": {:.1},\n  \"day_paper_wall_secs\": {:.4},\n  \
-             \"day_paper_sim_secs_per_sec\": {:.1},\n  \"day_paper_trace_secs\": {:.4},\n  \
+             \"day_paper_sim_secs_per_sec\": {:.1},\n  \
+             \"day_paper_profiled_wall_secs\": {:.4},\n  \
              \"day_paper_construct_secs\": {:.4},\n  \"day_paper_fault_secs\": {:.4},\n  \
              \"day_paper_activation_secs\": {:.4},\n  \"day_paper_planner_secs\": {:.4},\n  \
              \"day_paper_fetch_secs\": {:.4},\n  \"day_paper_accounting_secs\": {:.4},\n  \
@@ -124,8 +149,7 @@ impl PerfReport {
              \"day_dc_racks\": {},\n  \"day_dc_hosts\": {},\n  \"day_dc_vms\": {},\n  \
              \"day_dc_jobs\": {},\n  \"day_dc_wall_secs\": {:.4},\n  \
              \"day_dc_sim_secs_per_sec\": {:.1},\n  \"day_dc_seq_wall_secs\": {:.4},\n  \
-             \"day_dc_speedup\": {:.2},\n  \"day_dc_rack_p50_secs\": {:.6},\n  \
-             \"day_dc_rack_p99_secs\": {:.6},\n  \
+             \"day_dc_speedup\": {:.2},\n  \
              \"day_dc_rebalance_grants\": {},\n  \"day_dc_budget_secs\": {:.4}\n}}\n",
             self.scale_name,
             self.jobs,
@@ -134,13 +158,13 @@ impl PerfReport {
             self.day_sim_secs_per_sec,
             self.day_paper_wall_secs,
             self.day_paper_sim_secs_per_sec,
-            self.day_paper_phases.trace_sampling_secs,
-            self.day_paper_phases.construct_secs,
-            self.day_paper_phases.fault_service_secs,
-            self.day_paper_phases.activation_secs,
-            self.day_paper_phases.planner_secs,
-            self.day_paper_phases.fetch_secs,
-            self.day_paper_phases.accounting_secs,
+            self.day_paper_profiled_wall_secs,
+            self.day_paper_construct_secs,
+            self.day_paper_phases[0],
+            self.day_paper_phases[1],
+            self.day_paper_phases[2],
+            self.day_paper_phases[3],
+            self.day_paper_phases[4],
             self.day_paper_other_secs,
             self.day_paper_span_coverage,
             self.sweep_seq_wall_secs,
@@ -156,8 +180,6 @@ impl PerfReport {
             self.day_dc_sim_secs_per_sec,
             self.day_dc_seq_wall_secs,
             self.day_dc_speedup,
-            self.day_dc_rack_p50_secs,
-            self.day_dc_rack_p99_secs,
             self.day_dc_rebalance_grants,
             dc_budget_secs(self.day_dc_racks),
         )
@@ -208,59 +230,38 @@ fn run_perf(out: &Reporter) -> PerfReport {
     outln!(out, "day:    {day_wall_secs:>8.3}s wall   {day_sim_secs_per_sec:>10.0} sim-secs/sec");
     out.sample("day", (day_wall_secs * 1e9) as u64, 1);
 
-    // Workload 1b: the §5.1 rack, profiled per phase. Always run at
-    // paper scale — this is the number the reproduction is judged on.
-    // The untimed warmup day fills the process-wide trace-sampling
-    // cache so the timed day measures the warm steady state; the phase
-    // clock never feeds back into the simulation, so the profiled run
-    // is byte-identical to a plain `run_day`.
+    // Workload 1b: the §5.1 rack. Always run at paper scale — this is
+    // the number the reproduction is judged on. The untimed warmup day
+    // fills the process-wide trace-sampling cache so the timed day
+    // measures the warm steady state of the plain `run_day` path.
     let paper_cfg = || ClusterConfig::builder().seed(1).build().expect("valid §5.1 configuration");
     ClusterSim::new(paper_cfg()).run_day();
-    let mut day_paper_phases = DayPhases::default();
-    let (_, day_paper_wall_secs) = wall(|| {
-        ClusterSim::new_timed(paper_cfg(), &monotonic_secs, &mut day_paper_phases)
-            .run_day_timed(&monotonic_secs, &mut day_paper_phases)
-    });
+    let (_, day_paper_wall_secs) = wall(|| ClusterSim::new(paper_cfg()).run_day());
     let day_paper_sim_secs_per_sec = DAY_SIM_SECS / day_paper_wall_secs;
     outln!(
         out,
         "paper:  {day_paper_wall_secs:>8.3}s wall   {day_paper_sim_secs_per_sec:>10.0} sim-secs/sec  (30×30 rack, warm)"
     );
-    outln!(
-        out,
-        "        trace {:.4}s  construct {:.4}s  fault {:.4}s  activation {:.4}s",
-        day_paper_phases.trace_sampling_secs,
-        day_paper_phases.construct_secs,
-        day_paper_phases.fault_service_secs,
-        day_paper_phases.activation_secs
-    );
-    let day_paper_other_secs = (day_paper_wall_secs - day_paper_phases.total_secs()).max(0.0);
-    outln!(
-        out,
-        "        planner {:.4}s  fetch {:.4}s  accounting {:.4}s  other {:.4}s  (phases+other {:.4}s)",
-        day_paper_phases.planner_secs,
-        day_paper_phases.fetch_secs,
-        day_paper_phases.accounting_secs,
-        day_paper_other_secs,
-        day_paper_phases.total_secs() + day_paper_other_secs
-    );
     out.sample("day_paper", (day_paper_wall_secs * 1e9) as u64, 1);
 
     // Workload 1c: the same paper day with the hierarchical span
     // profiler attached (events filtered at Warn, no sinks — the cost
-    // measured is the profiler itself). The tree's wall self-times must
-    // account for the bracketed wall of the run they cover.
+    // measured is the profiler itself). Construction runs before the
+    // profiler is attached, so it is timed from outside; the phase
+    // breakdown is the wall of `run_day`'s children, and the residual
+    // closes the books against the profiled wall.
     let telemetry = Telemetry::new(Level::Warn);
-    let mut profiled = ClusterSim::new(paper_cfg());
+    let (mut profiled, day_paper_construct_secs) = wall(|| ClusterSim::new(paper_cfg()));
     profiled.attach_telemetry(telemetry.clone());
-    let (_, profiled_wall_secs) = wall(move || profiled.run_day());
+    let (_, run_day_secs) = wall(move || profiled.run_day());
+    let day_paper_profiled_wall_secs = day_paper_construct_secs + run_day_secs;
     let tree = telemetry.profiler().snapshot();
-    let day_paper_span_coverage = if profiled_wall_secs > 0.0 {
-        tree.total_wall_ns() as f64 / 1e9 / profiled_wall_secs
-    } else {
-        0.0
-    };
-    outln!(out, "profiled paper day ({profiled_wall_secs:.3}s bracketed wall):");
+    let day_paper_phases = phase_secs(&tree);
+    let phases_total: f64 = day_paper_phases.iter().sum();
+    let day_paper_other_secs = (run_day_secs - phases_total).max(0.0);
+    let day_paper_span_coverage =
+        if run_day_secs > 0.0 { tree.total_wall_ns() as f64 / 1e9 / run_day_secs } else { 0.0 };
+    outln!(out, "profiled paper day ({run_day_secs:.3}s bracketed run_day wall):");
     for line in tree.render(true).lines() {
         outln!(out, "  {line}");
     }
@@ -269,6 +270,17 @@ fn run_perf(out: &Reporter) -> PerfReport {
         "        span self-times sum to {:.4}s — {:.1}% of the bracketed wall",
         tree.self_wall_ns_sum() as f64 / 1e9,
         day_paper_span_coverage * 100.0
+    );
+    let phase_list: Vec<String> = PAPER_PHASES
+        .iter()
+        .zip(day_paper_phases)
+        .map(|((_, key), secs)| format!("{key} {secs:.4}s"))
+        .collect();
+    outln!(
+        out,
+        "        construct {day_paper_construct_secs:.4}s  {}  other {day_paper_other_secs:.4}s  \
+         (total {day_paper_profiled_wall_secs:.4}s)",
+        phase_list.join("  ")
     );
 
     // Workload 2: the sweep, sequential then parallel. The results must
@@ -316,16 +328,10 @@ fn run_perf(out: &Reporter) -> PerfReport {
     let dc_scale = Scale { racks: dc_racks, ..Scale::DATACENTER };
     let dc = DatacenterConfig::at(dc_scale, PolicyKind::FullToPartial, DayKind::Weekday, 1)
         .planner(PlannerScope::Global);
-    let (dc_report, day_dc_wall_secs) =
-        wall(|| run_datacenter_day(&WorkerPool::new(jobs), &dc, &monotonic_secs));
-    let (_, day_dc_seq_wall_secs) =
-        wall(|| run_datacenter_day(&WorkerPool::sequential(), &dc, &monotonic_secs));
+    let (dc_report, day_dc_wall_secs) = wall(|| run_datacenter_day(&WorkerPool::new(jobs), &dc));
+    let (_, day_dc_seq_wall_secs) = wall(|| run_datacenter_day(&WorkerPool::sequential(), &dc));
     let day_dc_sim_secs_per_sec = f64::from(dc_racks) * DAY_SIM_SECS / day_dc_wall_secs;
     let day_dc_speedup = day_dc_seq_wall_secs / day_dc_wall_secs;
-    let mut rack_walls = dc_report.rack_wall_secs.clone();
-    rack_walls.sort_by(f64::total_cmp);
-    let day_dc_rack_p50_secs = rack_walls[rack_walls.len() / 2];
-    let day_dc_rack_p99_secs = rack_walls[((rack_walls.len() - 1) as f64 * 0.99).round() as usize];
     outln!(
         out,
         "dc:     {day_dc_wall_secs:>8.3}s wall   {day_dc_sim_secs_per_sec:>10.0} sim-secs/sec  \
@@ -337,8 +343,7 @@ fn run_perf(out: &Reporter) -> PerfReport {
     outln!(
         out,
         "        {day_dc_seq_wall_secs:>8.3}s seq    ({day_dc_speedup:.2}x speedup on {jobs} \
-         workers)  rack p50 {day_dc_rack_p50_secs:.4}s  p99 {day_dc_rack_p99_secs:.4}s  \
-         grants {}",
+         workers)  grants {}",
         dc_report.rebalance_grants,
     );
     out.sample("day_dc", (day_dc_wall_secs * 1e9) as u64, 1);
@@ -351,6 +356,8 @@ fn run_perf(out: &Reporter) -> PerfReport {
         day_sim_secs_per_sec,
         day_paper_wall_secs,
         day_paper_sim_secs_per_sec,
+        day_paper_profiled_wall_secs,
+        day_paper_construct_secs,
         day_paper_phases,
         day_paper_other_secs,
         day_paper_span_coverage,
@@ -367,8 +374,6 @@ fn run_perf(out: &Reporter) -> PerfReport {
         day_dc_sim_secs_per_sec,
         day_dc_seq_wall_secs,
         day_dc_speedup,
-        day_dc_rack_p50_secs,
-        day_dc_rack_p99_secs,
         day_dc_rebalance_grants: dc_report.rebalance_grants,
     }
 }
@@ -405,26 +410,20 @@ fn check(report: &PerfReport, baseline_path: &str, out: &Reporter) -> bool {
         }
     }
 
-    // The paper-day phase breakdown must account for the bracketed
-    // wall: named phases plus the `other` residual re-sum to the total
-    // (±5%, with an absolute floor for very fast machines where the
-    // 4-decimal rounding dominates).
+    // The paper-day phase breakdown must account for the wall of the
+    // run it was taken on: construction, the named phases and the
+    // `other` residual re-sum to the total (±5%, with an absolute floor
+    // for very fast machines where the 4-decimal rounding dominates).
+    // Reports without `day_paper_profiled_wall_secs` took their phases
+    // on the timed day itself.
     let current_json = report.to_json();
     for (label, text) in [("baseline", text.as_str()), ("current", current_json.as_str())] {
-        let total = json_f64(text, "day_paper_wall_secs").unwrap_or(0.0);
-        let sum: f64 = [
-            "trace_secs",
-            "construct_secs",
-            "fault_secs",
-            "activation_secs",
-            "planner_secs",
-            "fetch_secs",
-            "accounting_secs",
-            "other_secs",
-        ]
-        .iter()
-        .map(|k| json_f64(text, &format!("day_paper_{k}")).unwrap_or(f64::NAN))
-        .sum();
+        let total = json_f64(text, "day_paper_profiled_wall_secs")
+            .or_else(|| json_f64(text, "day_paper_wall_secs"))
+            .unwrap_or(0.0);
+        let keys = ["construct", "other"].into_iter().chain(PAPER_PHASES.map(|(_, key)| key));
+        let sum: f64 =
+            keys.map(|k| json_f64(text, &format!("day_paper_{k}_secs")).unwrap_or(f64::NAN)).sum();
         if !sum.is_finite() {
             // Older baselines lack the residual keys; the throughput
             // checks above still apply.
@@ -434,8 +433,8 @@ fn check(report: &PerfReport, baseline_path: &str, out: &Reporter) -> bool {
         let tolerance = (total * 0.05).max(0.002);
         if (sum - total).abs() > tolerance {
             eprintln!(
-                "perf: phase accounting broken in {label}: phases+other {sum:.4}s \
-                 vs day_paper_wall_secs {total:.4}s"
+                "perf: phase accounting broken in {label}: construct+phases+other {sum:.4}s \
+                 vs profiled wall {total:.4}s"
             );
             ok = false;
         } else {

@@ -47,10 +47,10 @@ pub fn wall<R>(f: impl FnOnce() -> R) -> (R, f64) {
 
 /// Monotonic seconds since this function was first called.
 ///
-/// This is the clock handed to phase-bracketing APIs (e.g.
-/// `ClusterSim::run_day_timed`): the simulator itself never reads wall
-/// time, it only brackets phases with whatever monotonic closure the
-/// benchmark supplies from here.
+/// For benchmarks that need raw timestamps rather than one bracketed
+/// call (e.g. stamping the start and end of spans they record
+/// themselves). The simulator itself never reads wall time; its
+/// per-phase wall comes from the telemetry profiler's scopes.
 pub fn monotonic_secs() -> f64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();

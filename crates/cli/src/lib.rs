@@ -284,7 +284,7 @@ fn cmd_sim_datacenter(args: &Args, racks: u32) {
         }
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
+    let mut report = run_datacenter_day(&pool_from(args), &dc);
     println!(
         "datacenter {:<14} racks={} hosts={} vms={} planner={}",
         dc.base.policy, report.racks, report.hosts, report.vms, report.planner
@@ -391,7 +391,7 @@ fn cmd_report_datacenter(args: &Args, racks: u32) {
         }
     }
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    let mut report = run_datacenter_day(&pool_from(args), &dc, &|| 0.0);
+    let mut report = run_datacenter_day(&pool_from(args), &dc);
     let text = match args.get("format").unwrap_or("text") {
         "text" => report::render_datacenter_text(&mut report),
         "json" => report::render_datacenter_json(&mut report),
@@ -407,7 +407,7 @@ fn cmd_report_datacenter(args: &Args, racks: u32) {
 /// two fixed-order table lines, seeded and golden-testable.
 fn cmd_report_scorecard(args: &Args, racks: u32) {
     let dc = DatacenterConfig { base: cluster_config(args), racks, planner: planner_from(args) };
-    for row in planner_scorecard(&pool_from(args), &dc, &|| 0.0) {
+    for row in planner_scorecard(&pool_from(args), &dc) {
         println!("{}", row.table_line());
     }
 }

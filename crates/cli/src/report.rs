@@ -476,7 +476,7 @@ mod tests {
         let scale = Scale { home_hosts: 6, vms_per_host: 10, racks: 3 };
         let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, 1);
         let render = |pool: &WorkerPool| {
-            let mut report = run_datacenter_day(pool, &dc, &|| 0.0);
+            let mut report = run_datacenter_day(pool, &dc);
             (render_datacenter_text(&mut report), render_datacenter_json(&mut report))
         };
         let (seq_text, seq_json) = render(&WorkerPool::sequential());

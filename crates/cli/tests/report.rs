@@ -5,6 +5,7 @@
 use oasis_cli::report::{audit_jsonl, render_json, render_text, traced_run, AuditSummary};
 use oasis_cluster::ClusterConfig;
 use oasis_telemetry::FoldedMetric;
+use oasis_trace::INTERVALS_PER_DAY;
 
 fn cfg(seed: u64) -> ClusterConfig {
     ClusterConfig::builder()
@@ -90,6 +91,23 @@ fn profile_self_times_sum_to_the_root_total() {
     {
         assert!(names.contains(&expected), "missing span {expected}: {names:?}");
     }
+    // The day's phase scopes partition `run_day`: exactly five children,
+    // in step order, each entered once per interval. Disjoint scopes can
+    // never sum past their parent, and they must actually cover the day
+    // (loop prologue and report assembly are the only residual).
+    let day = run.tree.roots.iter().find(|r| r.name == "run_day").expect("run_day root");
+    let phases: Vec<&str> = day.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(phases, ["fault_service", "activation", "planner", "fetch", "accounting"]);
+    for phase in &day.children {
+        assert_eq!(phase.calls, INTERVALS_PER_DAY as u64, "{} calls", phase.name);
+    }
+    let phase_wall: u64 = day.children.iter().map(|c| c.total_wall_ns).sum();
+    assert!(phase_wall <= day.total_wall_ns, "phases {phase_wall} ns > day {}", day.total_wall_ns);
+    assert!(
+        phase_wall * 2 >= day.total_wall_ns,
+        "phases cover too little: {phase_wall} ns of {} ns",
+        day.total_wall_ns
+    );
 }
 
 #[test]

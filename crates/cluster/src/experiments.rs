@@ -341,14 +341,14 @@ pub fn run_datacenter_on(
 ) -> DatacenterReport {
     let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed)
         .planner(planner);
-    crate::shard::run_datacenter_day(pool, &dc, &|| 0.0)
+    crate::shard::run_datacenter_day(pool, &dc)
 }
 
 /// The global-vs-local epoch-planner scorecard (ROADMAP item 3's shape:
 /// energy, SLA violations, migration bytes per policy) at `scale`.
 pub fn datacenter_scorecard_at(pool: &WorkerPool, scale: Scale, seed: u64) -> Vec<ScorecardRow> {
     let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed);
-    crate::shard::planner_scorecard(pool, &dc, &|| 0.0)
+    crate::shard::planner_scorecard(pool, &dc)
 }
 
 /// Runs one named scenario from [`crate::scenarios`] by registry name

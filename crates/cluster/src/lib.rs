@@ -35,4 +35,4 @@ pub use shard::{
     planner_scorecard, rack_config, run_datacenter_day, run_datacenter_day_with, DatacenterConfig,
     DatacenterReport, PlannerScope, ScorecardRow,
 };
-pub use sim::{ClusterSim, DayPhases};
+pub use sim::ClusterSim;

@@ -407,7 +407,7 @@ pub fn run_scenario_on(
             racks: spec.racks,
             planner: PlannerScope::Global,
         };
-        let mut dcr = run_datacenter_day(pool, &dc, &|| 0.0);
+        let mut dcr = run_datacenter_day(pool, &dc);
         // Every rack shares the spec's shape, so the generation map is
         // identical per rack; accumulate each rack's ledger in order.
         for rack in &dcr.rack_reports {

@@ -39,7 +39,7 @@ use oasis_trace::{DayKind, INTERVALS_PER_DAY};
 use crate::config::ClusterConfig;
 use crate::experiments::Scale;
 use crate::results::SimReport;
-use crate::sim::{ClusterSim, DayPhases};
+use crate::sim::ClusterSim;
 
 /// Trace intervals between cross-rack epoch barriers (24 × 5 min = two
 /// simulated hours; 12 barriers per day).
@@ -146,6 +146,8 @@ pub fn rack_config(base: &ClusterConfig, rack: u32) -> ClusterConfig {
 
 /// One rack mid-day: the sim plus everything the monolithic day loop
 /// kept on its stack, parked so the rack can pause at epoch barriers.
+/// Its wall-clock cost, when wanted, is the `run_day` scope of the
+/// profile tree on the telemetry the rack was built with.
 struct RackDay {
     rack: u32,
     sim: ClusterSim,
@@ -154,10 +156,6 @@ struct RackDay {
     next_plan: SimTime,
     /// The rack's `run_day` profiler scope, held open across barriers.
     day_scope: ProfileScope,
-    phases: DayPhases,
-    /// Wall seconds this rack spent being stepped (construction + all
-    /// epochs), for the per-rack p50/p99 roll-up.
-    wall_secs: f64,
 }
 
 // Racks travel through `WorkerPool::map` between epochs.
@@ -169,29 +167,18 @@ const _: fn() = || {
 impl RackDay {
     /// Builds the rack and opens its day, mirroring the monolithic
     /// prologue: construct, attach telemetry, open the `run_day` scope.
-    fn begin(
-        rack: u32,
-        cfg: ClusterConfig,
-        clock: &(dyn Fn() -> f64 + Sync),
-        tel: Telemetry,
-    ) -> RackDay {
-        let local = || clock();
-        let t0 = clock();
-        let mut phases = DayPhases::default();
-        let mut sim = ClusterSim::new_timed(cfg, &local, &mut phases);
+    fn begin(rack: u32, cfg: ClusterConfig, tel: Telemetry) -> RackDay {
+        let mut sim = ClusterSim::new(cfg);
         sim.attach_telemetry(tel);
         let day_scope = sim.telemetry.profile("run_day");
-        RackDay { rack, sim, next_plan: SimTime::ZERO, day_scope, phases, wall_secs: clock() - t0 }
+        RackDay { rack, sim, next_plan: SimTime::ZERO, day_scope }
     }
 
     /// Steps intervals `lo..hi` — one epoch's worth between barriers.
-    fn step_range(&mut self, lo: usize, hi: usize, clock: &(dyn Fn() -> f64 + Sync)) {
-        let local = || clock();
-        let t0 = clock();
+    fn step_range(&mut self, lo: usize, hi: usize) {
         for interval in lo..hi {
-            self.sim.step_interval(interval, &mut self.next_plan, &local, &mut self.phases);
+            self.sim.step_interval(interval, &mut self.next_plan);
         }
-        self.wall_secs += clock() - t0;
     }
 
     /// The rack's consolidation-side load summary for the epoch planner.
@@ -207,11 +194,9 @@ impl RackDay {
 
     /// Closes the rack's day: ends the day scope and assembles the
     /// report — the monolithic epilogue.
-    fn finish(self, clock: &(dyn Fn() -> f64 + Sync)) -> (SimReport, DayPhases, f64) {
-        let t0 = clock();
+    fn finish(self) -> SimReport {
         self.day_scope.end();
-        let report = self.sim.finish_report();
-        (report, self.phases, self.wall_secs + clock() - t0)
+        self.sim.finish_report()
     }
 }
 
@@ -239,10 +224,6 @@ pub struct DatacenterReport {
     pub rebalance_bytes: u64,
     /// Per-rack day reports, in rack order.
     pub rack_reports: Vec<SimReport>,
-    /// Per-rack wall seconds (construction + stepping + finish).
-    pub rack_wall_secs: Vec<f64>,
-    /// Per-rack phase breakdowns.
-    pub rack_phases: Vec<DayPhases>,
 }
 
 impl DatacenterReport {
@@ -261,12 +242,8 @@ impl DatacenterReport {
 }
 
 /// Runs one sharded datacenter day on `pool` with telemetry disabled.
-pub fn run_datacenter_day(
-    pool: &WorkerPool,
-    dc: &DatacenterConfig,
-    clock: &(dyn Fn() -> f64 + Sync),
-) -> DatacenterReport {
-    run_datacenter_day_with(pool, dc, clock, &|_| Telemetry::disabled())
+pub fn run_datacenter_day(pool: &WorkerPool, dc: &DatacenterConfig) -> DatacenterReport {
+    run_datacenter_day_with(pool, dc, &|_| Telemetry::disabled())
 }
 
 /// [`run_datacenter_day`] with a per-rack telemetry factory (rack index
@@ -275,7 +252,6 @@ pub fn run_datacenter_day(
 pub fn run_datacenter_day_with(
     pool: &WorkerPool,
     dc: &DatacenterConfig,
-    clock: &(dyn Fn() -> f64 + Sync),
     telemetry_for: &(dyn Fn(u32) -> Telemetry + Sync),
 ) -> DatacenterReport {
     let racks = dc.racks.max(1);
@@ -284,7 +260,7 @@ pub fn run_datacenter_day_with(
     // Construction fans out too: each rack's build is a pure function
     // of its derived config.
     let mut fleet: Vec<RackDay> =
-        pool.map(seeds, |(r, cfg)| RackDay::begin(r, cfg, clock, telemetry_for(r)));
+        pool.map(seeds, |(r, cfg)| RackDay::begin(r, cfg, telemetry_for(r)));
 
     let mut rebalance_grants = 0u64;
     let mut rebalance_bytes = 0u64;
@@ -294,7 +270,7 @@ pub fn run_datacenter_day_with(
         // The barrier: every rack finishes the epoch before any state
         // crosses rack lines. `map` returns racks in rack order.
         fleet = pool.map(fleet, |mut rack| {
-            rack.step_range(epoch_start, epoch_end, clock);
+            rack.step_range(epoch_start, epoch_end);
             rack
         });
         // The epoch planner, on the driver thread, over the merged
@@ -322,15 +298,7 @@ pub fn run_datacenter_day_with(
     // Finish serially in rack order: `finish_report` flushes telemetry
     // sinks, which byte-identity across job counts requires to happen
     // in a deterministic order.
-    let mut rack_reports = Vec::with_capacity(fleet.len());
-    let mut rack_wall_secs = Vec::with_capacity(fleet.len());
-    let mut rack_phases = Vec::with_capacity(fleet.len());
-    for rack in fleet {
-        let (report, phases, wall) = rack.finish(clock);
-        rack_reports.push(report);
-        rack_phases.push(phases);
-        rack_wall_secs.push(wall);
-    }
+    let rack_reports: Vec<SimReport> = fleet.into_iter().map(RackDay::finish).collect();
 
     let baseline_kwh: f64 = rack_reports.iter().map(|r| r.baseline_kwh).sum();
     let total_kwh: f64 = rack_reports.iter().map(|r| r.total_kwh).sum();
@@ -347,8 +315,6 @@ pub fn run_datacenter_day_with(
         rebalance_grants,
         rebalance_bytes,
         rack_reports,
-        rack_wall_secs,
-        rack_phases,
     }
 }
 
@@ -390,16 +356,12 @@ impl ScorecardRow {
 /// global and local epoch planners and scores both on energy, SLA
 /// violations and migration bytes. One sweep entry point, two rows,
 /// fixed order — seeded, so the smoke-scale output is golden-testable.
-pub fn planner_scorecard(
-    pool: &WorkerPool,
-    dc: &DatacenterConfig,
-    clock: &(dyn Fn() -> f64 + Sync),
-) -> Vec<ScorecardRow> {
+pub fn planner_scorecard(pool: &WorkerPool, dc: &DatacenterConfig) -> Vec<ScorecardRow> {
     [PlannerScope::Global, PlannerScope::Local]
         .into_iter()
         .map(|planner| {
             let cfg = dc.clone().planner(planner);
-            let mut report = run_datacenter_day(pool, &cfg, clock);
+            let mut report = run_datacenter_day(pool, &cfg);
             ScorecardRow {
                 planner,
                 total_kwh: report.total_kwh,
@@ -442,7 +404,7 @@ mod tests {
     #[test]
     fn datacenter_day_totals_sum_the_racks() {
         let pool = WorkerPool::new(2);
-        let report = run_datacenter_day(&pool, &smoke_dc(3, PlannerScope::Global), &|| 0.0);
+        let report = run_datacenter_day(&pool, &smoke_dc(3, PlannerScope::Global));
         assert_eq!(report.racks, 3);
         assert_eq!(report.rack_reports.len(), 3);
         assert_eq!(report.hosts, 3 * (6 + 1));
@@ -455,7 +417,7 @@ mod tests {
     #[test]
     fn local_planner_never_trades_capacity() {
         let pool = WorkerPool::sequential();
-        let report = run_datacenter_day(&pool, &smoke_dc(3, PlannerScope::Local), &|| 0.0);
+        let report = run_datacenter_day(&pool, &smoke_dc(3, PlannerScope::Local));
         assert_eq!(report.rebalance_grants, 0);
         assert_eq!(report.rebalance_bytes, 0);
     }
@@ -463,7 +425,7 @@ mod tests {
     #[test]
     fn scorecard_has_fixed_global_then_local_order() {
         let pool = WorkerPool::sequential();
-        let rows = planner_scorecard(&pool, &smoke_dc(2, PlannerScope::Global), &|| 0.0);
+        let rows = planner_scorecard(&pool, &smoke_dc(2, PlannerScope::Global));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].planner, PlannerScope::Global);
         assert_eq!(rows[1].planner, PlannerScope::Local);
@@ -477,7 +439,7 @@ mod tests {
     #[test]
     fn smoke_scorecard_is_golden() {
         let dc = smoke_dc(6, PlannerScope::Global);
-        let rows = planner_scorecard(&WorkerPool::new(2), &dc, &|| 0.0);
+        let rows = planner_scorecard(&WorkerPool::new(2), &dc);
         let lines: Vec<String> = rows.iter().map(ScorecardRow::table_line).collect();
         assert_eq!(
             lines,

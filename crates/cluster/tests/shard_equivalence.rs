@@ -131,7 +131,7 @@ fn monolithic_day(cfg: ClusterConfig) -> (String, String) {
 fn sharded_day(pool: &WorkerPool, dc: &DatacenterConfig) -> (Vec<String>, Vec<String>) {
     let bufs: Vec<SharedBuf> = (0..dc.racks).map(|_| SharedBuf::default()).collect();
     let sinks = bufs.clone();
-    let report = run_datacenter_day_with(pool, dc, &|| 0.0, &move |rack| {
+    let report = run_datacenter_day_with(pool, dc, &move |rack| {
         let telemetry = Telemetry::new(Level::Debug);
         telemetry.attach(Box::new(JsonlSink::new(sinks[rack as usize].clone())));
         telemetry
@@ -181,7 +181,7 @@ fn multi_rack_day_is_bit_identical_across_worker_counts() {
 fn datacenter_summary_is_deterministic_across_worker_counts() {
     let cfg = dc(4, 3, fault_schedule());
     let summarize = |pool: &WorkerPool| {
-        let mut report = run_datacenter_day(pool, &cfg, &|| 0.0);
+        let mut report = run_datacenter_day(pool, &cfg);
         (
             report.racks,
             report.hosts,

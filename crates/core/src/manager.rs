@@ -13,7 +13,7 @@ use oasis_vm::{HostId, VmId};
 
 use oasis_telemetry::{DecisionClass, Event};
 
-use crate::placement::{on_partial_activated_with_stats, plan_consolidation_traced, PlannerConfig};
+use crate::placement::{on_partial_activated, plan_consolidation, PlannerConfig};
 use crate::policy::{ActivationDecision, PlannedAction, PolicyKind};
 use crate::view::{ClusterView, HostRole, ResidencyIndex};
 
@@ -152,7 +152,7 @@ impl ClusterManager {
     ) -> Vec<PlannedAction> {
         let round = self.stats.rounds as u32;
         let span = self.telemetry.span("manager_plan");
-        let (actions, plan_stats) = plan_consolidation_traced(
+        let (actions, plan_stats) = plan_consolidation(
             &self.telemetry,
             view,
             self.config.policy,
@@ -214,7 +214,7 @@ impl ClusterManager {
     ) -> Option<ActivationDecision> {
         self.stats.activations += 1;
         let (decision, candidates) =
-            on_partial_activated_with_stats(view, vm, self.config.policy, &mut self.rng);
+            on_partial_activated(view, vm, self.config.policy, &mut self.rng);
         let (oi, outcome) = match &decision {
             Some(ActivationDecision::PromoteInPlace { .. }) => (0, "promote_in_place"),
             Some(ActivationDecision::MoveTo { .. }) => (1, "move_to"),

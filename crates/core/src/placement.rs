@@ -279,44 +279,13 @@ pub struct PlanStats {
     pub demand_mib: u64,
 }
 
-/// Like [`plan_consolidation`], wrapped in a `placement_search` span and
-/// profiler scope so the planner's wall-clock cost shows up in both the
-/// flat span registry and the call tree, and returning the round's
-/// [`PlanStats`] for the audit trail. The `planned_actions_total`
-/// counter is the manager's job (it caches the handle across rounds).
-pub fn plan_consolidation_traced(
-    telemetry: &oasis_telemetry::Telemetry,
-    view: &ClusterView,
-    policy: PolicyKind,
-    config: &PlannerConfig,
-    rng: &mut SimRng,
-    index: Option<&dyn ResidencyIndex>,
-) -> (Vec<PlannedAction>, PlanStats) {
-    let span = telemetry.span("placement_search");
-    let (actions, stats) = plan_consolidation_inner(telemetry, view, policy, config, rng, index);
-    span.end();
-    (actions, stats)
-}
-
-/// Plans one consolidation interval; returns the actions to execute.
+/// Plans one consolidation interval: returns the actions to execute and
+/// the round's [`PlanStats`] for the audit trail. The round runs inside a
+/// `placement_search` span and a `plan_consolidation` profiler scope, so
+/// its wall-clock cost shows up in both the flat span registry and the
+/// call tree. The `planned_actions_total` counter is the manager's job
+/// (it caches the handle across rounds).
 pub fn plan_consolidation(
-    view: &ClusterView,
-    policy: PolicyKind,
-    config: &PlannerConfig,
-    rng: &mut SimRng,
-) -> Vec<PlannedAction> {
-    plan_consolidation_inner(
-        &oasis_telemetry::Telemetry::disabled(),
-        view,
-        policy,
-        config,
-        rng,
-        None,
-    )
-    .0
-}
-
-fn plan_consolidation_inner(
     telemetry: &oasis_telemetry::Telemetry,
     view: &ClusterView,
     policy: PolicyKind,
@@ -324,6 +293,7 @@ fn plan_consolidation_inner(
     rng: &mut SimRng,
     external: Option<&dyn ResidencyIndex>,
 ) -> (Vec<PlannedAction>, PlanStats) {
+    let span = telemetry.span("placement_search");
     // With a maintained `host_demand` aggregate the cluster-wide demand
     // is the sum of the per-host integer sums — bit-equal to the VM
     // scan (integer adds commute) at O(hosts) instead of O(VMs).
@@ -334,6 +304,7 @@ fn plan_consolidation_inner(
     };
     let mut stats = PlanStats { demand_mib: total_demand.as_mib(), ..PlanStats::default() };
     if policy == PolicyKind::AlwaysOn {
+        span.end();
         return (Vec::new(), stats);
     }
 
@@ -554,23 +525,15 @@ fn plan_consolidation_inner(
     stats.drained = drained.len() as u32;
     pass.end();
     scope.end();
+    span.end();
     debug_assert_eq!(stats.action_candidates.len(), actions.len());
     (actions, stats)
 }
 
 /// Handles a partial VM that became active (§3.2 state-change policies).
-pub fn on_partial_activated(
-    view: &ClusterView,
-    vm_id: VmId,
-    policy: PolicyKind,
-    rng: &mut SimRng,
-) -> Option<ActivationDecision> {
-    on_partial_activated_with_stats(view, vm_id, policy, rng).0
-}
-
-/// [`on_partial_activated`] plus the number of placement candidates the
+/// Returns the decision and the number of placement candidates the
 /// policy examined, for the decision audit trail.
-pub fn on_partial_activated_with_stats(
+pub fn on_partial_activated(
     view: &ClusterView,
     vm_id: VmId,
     policy: PolicyKind,
@@ -619,6 +582,17 @@ mod tests {
         SimRng::new(42)
     }
 
+    /// [`plan_consolidation`] with telemetry off and no maintained index.
+    fn run_planner(
+        view: &ClusterView,
+        policy: PolicyKind,
+        config: &PlannerConfig,
+        rng: &mut SimRng,
+    ) -> Vec<PlannedAction> {
+        plan_consolidation(&oasis_telemetry::Telemetry::disabled(), view, policy, config, rng, None)
+            .0
+    }
+
     /// Planner config without promotion headroom, for tests that size
     /// capacities exactly.
     fn exact_config() -> PlannerConfig {
@@ -628,16 +602,14 @@ mod tests {
     #[test]
     fn always_on_plans_nothing() {
         let view = small_cluster(4, 2, 10);
-        let plan =
-            plan_consolidation(&view, PolicyKind::AlwaysOn, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::AlwaysOn, &PlannerConfig::default(), &mut rng());
         assert!(plan.is_empty());
     }
 
     #[test]
     fn all_idle_cluster_vacates_every_home() {
         let view = small_cluster(6, 2, 10);
-        let plan =
-            plan_consolidation(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
         let migrations = plan.iter().filter(|a| matches!(a, PlannedAction::Migrate { .. })).count();
         assert_eq!(migrations, 60, "all 60 idle VMs consolidate");
         // All partial: 60 × 165 MiB ≈ 9.7 GiB fits one consolidation host.
@@ -653,8 +625,7 @@ mod tests {
         let mut view = small_cluster(2, 2, 4);
         view.hosts[2].powered = true; // A consolidation host is already up.
         view.vms[0].state = VmState::Active;
-        let plan =
-            plan_consolidation(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
         let fulls = plan
             .iter()
             .filter(|a| {
@@ -670,12 +641,8 @@ mod tests {
         let mut view = small_cluster(2, 2, 4);
         view.hosts[2].powered = true; // A consolidation host is already up.
         view.vms[0].state = VmState::Active; // Host 0 has an active VM.
-        let plan = plan_consolidation(
-            &view,
-            PolicyKind::OnlyPartial,
-            &PlannerConfig::default(),
-            &mut rng(),
-        );
+        let plan =
+            run_planner(&view, PolicyKind::OnlyPartial, &PlannerConfig::default(), &mut rng());
         // Only host 1's four VMs move.
         assert_eq!(plan.len(), 4);
         for a in &plan {
@@ -694,7 +661,7 @@ mod tests {
         // 4 homes × 10 VMs × 4 GiB = 160 GiB of full VMs; one 192 GiB
         // consolidation host fits 48.
         let view = small_cluster(4, 1, 10);
-        let plan = plan_consolidation(&view, PolicyKind::FullOnly, &exact_config(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::FullOnly, &exact_config(), &mut rng());
         for a in &plan {
             if let PlannedAction::Migrate { order, .. } = a {
                 assert_eq!(order.kind, MigrationType::Full);
@@ -710,7 +677,7 @@ mod tests {
         // 6 homes × 10 VMs = 240 GiB of full VMs > 192 GiB capacity:
         // only 4 hosts (160 GiB) can be vacated.
         let view = small_cluster(6, 1, 10);
-        let plan = plan_consolidation(&view, PolicyKind::FullOnly, &exact_config(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::FullOnly, &exact_config(), &mut rng());
         assert_eq!(plan.len(), 40, "4 of 6 hosts vacated");
     }
 
@@ -719,8 +686,7 @@ mod tests {
         // One home host of idle VMs: vacating saves 47.1 W but waking a
         // consolidation host costs 102.2 W → plan suppressed.
         let view = small_cluster(1, 2, 10);
-        let plan =
-            plan_consolidation(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
         assert!(plan.is_empty(), "single-host vacate must not wake a host");
     }
 
@@ -730,8 +696,7 @@ mod tests {
         // no wake needed, so the plan proceeds.
         let mut view = small_cluster(1, 2, 10);
         view.hosts[1].powered = true;
-        let plan =
-            plan_consolidation(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
         assert_eq!(plan.len(), 10);
     }
 
@@ -743,20 +708,15 @@ mod tests {
         view.vms[0].location = HostId(2);
         view.vms[0].partial = false;
         view.vms[0].state = VmState::Idle;
-        let plan = plan_consolidation(
-            &view,
-            PolicyKind::FullToPartial,
-            &PlannerConfig::default(),
-            &mut rng(),
-        );
+        let plan =
+            run_planner(&view, PolicyKind::FullToPartial, &PlannerConfig::default(), &mut rng());
         assert!(plan.iter().any(|a| matches!(
             a,
             PlannedAction::Exchange { vm, home, consolidation }
                 if *vm == view.vms[0].id && *home == HostId(0) && *consolidation == HostId(2)
         )));
         // Default policy never exchanges.
-        let plan =
-            plan_consolidation(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &PlannerConfig::default(), &mut rng());
         assert!(!plan.iter().any(|a| matches!(a, PlannedAction::Exchange { .. })));
     }
 
@@ -768,12 +728,8 @@ mod tests {
         view.vms[0].home = HostId(1);
         view.vms[0].location = HostId(1);
         view.vms[0].state = VmState::Idle;
-        let plan = plan_consolidation(
-            &view,
-            PolicyKind::FullToPartial,
-            &PlannerConfig::default(),
-            &mut rng(),
-        );
+        let plan =
+            run_planner(&view, PolicyKind::FullToPartial, &PlannerConfig::default(), &mut rng());
         assert!(!plan.iter().any(|a| matches!(a, PlannedAction::Exchange { .. })));
     }
 
@@ -785,7 +741,7 @@ mod tests {
         view.vms[0].partial = true;
         view.vms[0].state = VmState::Active;
         view.vms[0].demand = ByteSize::mib(165);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng()).0;
         assert_eq!(d, Some(ActivationDecision::PromoteInPlace { vm: view.vms[0].id }));
     }
 
@@ -801,7 +757,7 @@ mod tests {
             vm.demand = ByteSize::mib(165);
         }
         view.vms[0].state = VmState::Active;
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng()).0;
         match d {
             Some(ActivationDecision::ReturnHome { home, vms }) => {
                 assert_eq!(home, HostId(0));
@@ -823,7 +779,7 @@ mod tests {
         }
         view.vms[0].state = VmState::Active;
         // Home hosts 0 and 1 are powered with 192 GiB free.
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::NewHome, &mut rng());
+        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::NewHome, &mut rng()).0;
         match d {
             Some(ActivationDecision::MoveTo { destination, .. }) => {
                 assert!(destination == HostId(0) || destination == HostId(1));
@@ -839,17 +795,17 @@ mod tests {
         view.vms[0].location = HostId(1);
         view.vms[0].partial = true;
         view.vms[0].demand = ByteSize::mib(165);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::OnlyPartial, &mut rng());
+        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::OnlyPartial, &mut rng()).0;
         assert!(matches!(d, Some(ActivationDecision::ReturnHome { .. })));
     }
 
     #[test]
     fn activation_of_full_vm_is_none() {
         let view = small_cluster(1, 1, 1);
-        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng());
+        let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng()).0;
         assert_eq!(d, None);
         assert_eq!(
-            on_partial_activated(&view, oasis_vm::VmId(9_999), PolicyKind::Default, &mut rng()),
+            on_partial_activated(&view, oasis_vm::VmId(9_999), PolicyKind::Default, &mut rng()).0,
             None
         );
     }
@@ -901,7 +857,7 @@ mod tests {
         view.hosts[2].powered = true;
         for strategy in [PlacementStrategy::BestFit, PlacementStrategy::WorstFit] {
             let cfg = PlannerConfig { strategy, ..exact_config() };
-            let plan = plan_consolidation(&view, PolicyKind::Default, &cfg, &mut rng());
+            let plan = run_planner(&view, PolicyKind::Default, &cfg, &mut rng());
             let dests: std::collections::BTreeSet<HostId> = plan
                 .iter()
                 .filter_map(|a| match a {
@@ -930,7 +886,7 @@ mod tests {
         view.vms.retain(|v| v.id != oasis_vm::VmId(1_001));
         view.hosts[2].capacity = ByteSize::gib(6); // Fits one 4 GiB VM.
         view.hosts[2].powered = true;
-        let plan = plan_consolidation(&view, PolicyKind::Default, &exact_config(), &mut rng());
+        let plan = run_planner(&view, PolicyKind::Default, &exact_config(), &mut rng());
         assert_eq!(plan.len(), 1);
         match &plan[0] {
             PlannedAction::Migrate { source, .. } => assert_eq!(*source, HostId(1)),

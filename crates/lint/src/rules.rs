@@ -31,9 +31,9 @@ pub const DECISION_PATH_CRATES: [&str; 6] =
 /// (`crates/cluster/src/shard.rs`) and via `core` the cross-rack epoch
 /// planner (`crates/core/src/rebalance.rs`): the rebalance pass must
 /// stay a pure function of the per-rack loads, and rack stepping must
-/// stay wall-clock/env free (rack wall timings flow in through the
-/// caller's injected clock), so a sharded day is byte-identical across
-/// `OASIS_JOBS` worker counts and rack schedules.
+/// stay wall-clock/env free (rack wall timings come only from the
+/// telemetry profiler's scopes), so a sharded day is byte-identical
+/// across `OASIS_JOBS` worker counts and rack schedules.
 pub const TAINT_SINK_CRATES: [&str; 5] = ["core", "cluster", "sim", "faults", "migration"];
 
 /// Library crates exempt from print-hygiene (user-facing output is their
