@@ -54,7 +54,7 @@ fn main() {
     for policy in [PolicyKind::Default, PolicyKind::FullToPartial, PolicyKind::NewHome] {
         let mut manager =
             ClusterManager::new(ManagerConfig { policy, ..ManagerConfig::default() }, 1);
-        bench(&format!("manager_plan/{policy}"), || {
+        bench(&format!("manager.plan/{policy}"), || {
             black_box(manager.plan(&view));
         });
     }

@@ -189,11 +189,6 @@ impl ClusterConfig {
         self.host_memory.mul_f64(self.overcommit)
     }
 
-    /// Number of distinct host generations (1 for a homogeneous fleet).
-    pub fn generation_count(&self) -> usize {
-        self.generations.len().max(1)
-    }
-
     /// Generation index of `host` (round-robin by host index; 0 for a
     /// homogeneous fleet).
     pub fn generation_of(&self, host: u32) -> usize {
@@ -201,15 +196,6 @@ impl ClusterConfig {
             0
         } else {
             host as usize % self.generations.len()
-        }
-    }
-
-    /// Display name of generation `g`.
-    pub fn generation_name(&self, g: usize) -> &str {
-        if self.generations.is_empty() {
-            "uniform"
-        } else {
-            &self.generations[g].name
         }
     }
 

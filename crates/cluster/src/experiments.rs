@@ -24,7 +24,7 @@ use oasis_trace::DayKind;
 
 use crate::config::ClusterConfig;
 use crate::results::SimReport;
-use crate::shard::{DatacenterConfig, DatacenterReport, PlannerScope, ScorecardRow};
+use crate::shard::{DatacenterConfig, DatacenterReport, PlannerScope};
 use crate::sim::ClusterSim;
 
 /// Cluster scale an experiment runs at.
@@ -342,24 +342,6 @@ pub fn run_datacenter_on(
     let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed)
         .planner(planner);
     crate::shard::run_datacenter_day(pool, &dc)
-}
-
-/// The global-vs-local epoch-planner scorecard (ROADMAP item 3's shape:
-/// energy, SLA violations, migration bytes per policy) at `scale`.
-pub fn datacenter_scorecard_at(pool: &WorkerPool, scale: Scale, seed: u64) -> Vec<ScorecardRow> {
-    let dc = DatacenterConfig::at(scale, PolicyKind::FullToPartial, DayKind::Weekday, seed);
-    crate::shard::planner_scorecard(pool, &dc)
-}
-
-/// Runs one named scenario from [`crate::scenarios`] by registry name
-/// (pool sized from `OASIS_JOBS`). `None` when the name is unknown; the
-/// inner `Result` carries config errors from instantiating the spec.
-pub fn run_scenario_by_name(
-    name: &str,
-    seed: u64,
-) -> Option<Result<crate::scenarios::ScenarioReport, crate::config::ConfigError>> {
-    let spec = crate::scenarios::find(name)?;
-    Some(crate::scenarios::run_scenario(&spec, seed))
 }
 
 #[cfg(test)]

@@ -605,8 +605,8 @@ impl ClusterSim {
         }
     }
 
-    /// Routes the simulator's (and its manager's) events, spans and
-    /// counters through `telemetry`. Telemetry never touches the RNG, so
+    /// Routes the simulator's (and its manager's) events, counters and
+    /// profile scopes through `telemetry`. Telemetry never touches the RNG, so
     /// attaching it leaves simulation results bit-identical.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.manager.set_telemetry(telemetry.clone());

@@ -1,6 +1,6 @@
 //! Golden-stream test: a fixed-seed simulated day emits a byte-identical
-//! JSONL event stream on every run, and attaching telemetry does not
-//! perturb the simulation itself.
+//! JSONL event stream, report and metrics export on every run, and
+//! attaching telemetry does not perturb the simulation itself.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -96,15 +96,35 @@ fn report_summary_matches_the_stream() {
     let telemetry = Telemetry::new(Level::Info);
     telemetry.attach(Box::new(JsonlSink::new(buf.clone())));
     let mut sim = ClusterSim::new(config());
-    sim.attach_telemetry(telemetry);
+    sim.attach_telemetry(telemetry.clone());
     let report = sim.run_day();
     let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     assert_eq!(report.telemetry.events_total, stream.lines().count() as u64);
     let by_kind: u64 = report.telemetry.events_by_kind.iter().map(|(_, n)| n).sum();
     assert_eq!(by_kind, report.telemetry.events_total);
-    assert!(
-        report.telemetry.spans.iter().any(|s| s.name == "manager_plan" && s.count == 288),
-        "manager_plan span recorded per planning round: {:?}",
-        report.telemetry.spans
-    );
+    let tree = telemetry.profiler().snapshot();
+    let day = tree.roots.iter().find(|r| r.name == "run_day").expect("run_day scope");
+    let planner = day.children.iter().find(|c| c.name == "planner").expect("planner scope");
+    let search = planner.children.iter().find(|c| c.name == "plan_consolidation");
+    let search = search.expect("plan_consolidation scope under run_day › planner");
+    assert_eq!(search.calls, 288, "one plan_consolidation scope per planning round");
+}
+
+/// Report `Debug` bytes and both metrics exports of one traced day.
+fn traced_outputs() -> (String, String, String) {
+    let telemetry = Telemetry::new(Level::Info);
+    let mut sim = ClusterSim::new(config());
+    sim.attach_telemetry(telemetry.clone());
+    let report = sim.run_day();
+    let metrics = telemetry.metrics();
+    (format!("{report:?}"), metrics.to_prometheus(), metrics.to_json())
+}
+
+#[test]
+fn traced_report_and_metrics_are_byte_identical() {
+    let (report, prometheus, json) = traced_outputs();
+    let again = traced_outputs();
+    assert_eq!(report, again.0, "same seed must reproduce the report byte-for-byte");
+    assert_eq!(prometheus, again.1, "same seed must reproduce the Prometheus export");
+    assert_eq!(json, again.2, "same seed must reproduce the JSON export");
 }

@@ -280,11 +280,10 @@ pub struct PlanStats {
 }
 
 /// Plans one consolidation interval: returns the actions to execute and
-/// the round's [`PlanStats`] for the audit trail. The round runs inside a
-/// `placement_search` span and a `plan_consolidation` profiler scope, so
-/// its wall-clock cost shows up in both the flat span registry and the
-/// call tree. The `planned_actions_total` counter is the manager's job
-/// (it caches the handle across rounds).
+/// the round's [`PlanStats`] for the audit trail. A non-`AlwaysOn` round
+/// runs inside a `plan_consolidation` profiler scope, so its cost shows
+/// up in the call tree. The `planned_actions_total` counter is the
+/// manager's job (it caches the handle across rounds).
 pub fn plan_consolidation(
     telemetry: &oasis_telemetry::Telemetry,
     view: &ClusterView,
@@ -293,7 +292,6 @@ pub fn plan_consolidation(
     rng: &mut SimRng,
     external: Option<&dyn ResidencyIndex>,
 ) -> (Vec<PlannedAction>, PlanStats) {
-    let span = telemetry.span("placement_search");
     // With a maintained `host_demand` aggregate the cluster-wide demand
     // is the sum of the per-host integer sums — bit-equal to the VM
     // scan (integer adds commute) at O(hosts) instead of O(VMs).
@@ -304,7 +302,6 @@ pub fn plan_consolidation(
     };
     let mut stats = PlanStats { demand_mib: total_demand.as_mib(), ..PlanStats::default() };
     if policy == PolicyKind::AlwaysOn {
-        span.end();
         return (Vec::new(), stats);
     }
 
@@ -525,7 +522,6 @@ pub fn plan_consolidation(
     stats.drained = drained.len() as u32;
     pass.end();
     scope.end();
-    span.end();
     debug_assert_eq!(stats.action_candidates.len(), actions.len());
     (actions, stats)
 }

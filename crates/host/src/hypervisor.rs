@@ -217,11 +217,6 @@ impl Hypervisor {
     pub fn capacity(&self) -> ByteSize {
         CHUNK_SIZE * self.allocator.total_chunks()
     }
-
-    /// Fragmentation of the chunked heap.
-    pub fn heap_fragmentation(&self) -> f64 {
-        self.allocator.fragmentation()
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,6 @@ pub fn step(tel: &Telemetry) {
 }
 
 pub fn wrapped(tel: &Telemetry) {
-    let span = tel.span("day");
+    let span = tel.profile("day");
     run_day(&span, 7);
 }

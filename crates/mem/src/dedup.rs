@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 
 use crate::addr::PAGE_SIZE;
-use crate::size::ByteSize;
 
 /// A 64-bit content fingerprint of one page.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -175,16 +174,6 @@ impl SharePool {
     /// Number of physical frames actually needed.
     pub fn physical_pages(&self) -> u64 {
         self.shared.len() as u64 + self.private_pages
-    }
-
-    /// Logical bytes represented.
-    pub fn logical_bytes(&self) -> ByteSize {
-        ByteSize::bytes(self.logical_pages() * PAGE_SIZE)
-    }
-
-    /// Physical bytes consumed.
-    pub fn physical_bytes(&self) -> ByteSize {
-        ByteSize::bytes(self.physical_pages() * PAGE_SIZE)
     }
 
     /// Over-commit factor achieved: logical / physical (1.0 when empty).

@@ -92,11 +92,6 @@ impl SharedChannel {
         }
     }
 
-    /// Creates a channel from a [`LinkSpec`] (latency handled by callers).
-    pub fn from_spec(spec: LinkSpec) -> Self {
-        Self::new(spec.bandwidth)
-    }
-
     /// Number of transfers currently in flight.
     pub fn in_flight(&self) -> usize {
         self.active.len()

@@ -1,7 +1,6 @@
-//! Hierarchical span profiler.
+//! Hierarchical scope profiler.
 //!
-//! Where [`crate::span::Span`] records flat per-name histograms, the
-//! profiler maintains a *call tree*: every [`ProfileScope`] attaches to
+//! The profiler maintains a *call tree*: every [`ProfileScope`] attaches to
 //! the scope that was live when it started, so one run yields a tree of
 //! named nodes with call counts, total and self time — both simulated
 //! (deterministic) and wall-clock (the real cost of the code).
@@ -478,6 +477,30 @@ mod tests {
             let _scope = tel.profile("anything");
         }
         assert!(!tel.profiler().is_enabled());
+        assert!(tel.profiler().snapshot().is_empty());
+    }
+
+    #[test]
+    fn span_records_sim_and_wall_durations() {
+        let tel = Telemetry::new(Level::Info);
+        tel.advance_to(SimTime::from_secs(10));
+        let scope = tel.profile("plan");
+        tel.advance_to(SimTime::from_secs(13));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        scope.end();
+        let plan = &tel.profiler().snapshot().roots[0];
+        assert_eq!((plan.name.as_str(), plan.calls), ("plan", 1));
+        assert_eq!(plan.total_sim_us, 3_000_000);
+        assert!(plan.total_wall_ns >= 1_000_000, "wall reading {} ns", plan.total_wall_ns);
+    }
+
+    #[test]
+    fn disabled_telemetry_records_nothing() {
+        let tel = Telemetry::disabled();
+        let scope = tel.profile("plan");
+        assert!(scope.live.is_none(), "a disabled bus starts no clock");
+        tel.advance_to(SimTime::from_secs(3));
+        scope.end();
         assert!(tel.profiler().snapshot().is_empty());
     }
 

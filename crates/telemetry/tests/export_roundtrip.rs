@@ -85,7 +85,7 @@ fn populated_registry() -> Metrics {
     m.counter("migration_bytes_total", &[("kind", "full")]).add(999);
     m.counter("wol_packets_total", &[]).add(7);
     m.gauge("hosts_powered", &[]).set(31);
-    let h = m.histogram("span_wall_ns", &[("span", "plan")]);
+    let h = m.histogram("plan_wall_ns", &[("scope", "plan")]);
     for v in [3u64, 100, 100_000] {
         h.record(v);
     }
@@ -159,9 +159,9 @@ fn prometheus_export_is_parseable_and_consistent() {
     assert!(text.contains("hosts_powered 31"));
     // Histogram: cumulative buckets end at the total count, and the sum
     // and count lines agree with the recorded data.
-    assert!(text.contains("span_wall_ns_bucket{le=\"+Inf\",span=\"plan\"} 3"));
-    assert!(text.contains("span_wall_ns_sum{span=\"plan\"} 100103"));
-    assert!(text.contains("span_wall_ns_count{span=\"plan\"} 3"));
+    assert!(text.contains("plan_wall_ns_bucket{le=\"+Inf\",scope=\"plan\"} 3"));
+    assert!(text.contains("plan_wall_ns_sum{scope=\"plan\"} 100103"));
+    assert!(text.contains("plan_wall_ns_count{scope=\"plan\"} 3"));
 
     // The exposition is deterministic.
     assert_eq!(text, populated_registry().to_prometheus());
