@@ -22,11 +22,6 @@ pub fn runs() -> u64 {
     env::var("OASIS_RUNS").ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(5)
 }
 
-/// Prints an experiment banner.
-pub fn banner(id: &str, title: &str) {
-    println!("== {id}: {title}");
-}
-
 /// Formats a fraction as a percent with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)

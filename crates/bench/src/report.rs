@@ -2,14 +2,13 @@
 //!
 //! Every binary in `src/bin/` routes its output through a [`Reporter`]
 //! instead of bare `println!`: lines still reach stdout unchanged, but
-//! each one is mirrored as a structured [`Event::Note`] (and timing
-//! results as [`Event::BenchSample`]) into a telemetry sink. Set
-//! `OASIS_BENCH_TRACE=/path/to/file.jsonl` to capture the stream; the
-//! file is appended to so `all_experiments` accumulates one trace.
+//! each one is mirrored as a structured [`Event::Note`] into a
+//! telemetry sink. Set `OASIS_BENCH_TRACE=/path/to/file.jsonl` to
+//! capture the stream; the file is appended to so `all_experiments`
+//! accumulates one trace.
 
 use oasis_telemetry::{Event, JsonlSink, Level, Telemetry};
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// Prints experiment output and mirrors it into a telemetry sink.
 pub struct Reporter {
@@ -68,32 +67,12 @@ impl Reporter {
             }
         }
     }
-
-    /// Records one timing measurement as a structured event.
-    pub fn sample(&self, name: &str, ns_per_iter: u64, iters: u64) {
-        self.telemetry.emit(Event::BenchSample {
-            name: format!("{}/{name}", self.experiment),
-            ns_per_iter,
-            iters,
-        });
-    }
-
-    /// The underlying telemetry bus.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
 }
 
 impl Drop for Reporter {
     fn drop(&mut self) {
         self.telemetry.flush();
     }
-}
-
-/// The process-wide reporter used by the micro-benchmark harness.
-pub fn global() -> &'static Reporter {
-    static GLOBAL: OnceLock<Reporter> = OnceLock::new();
-    GLOBAL.get_or_init(|| Reporter::new("bench"))
 }
 
 /// Prints a formatted line through a [`Reporter`] (drop-in for
@@ -123,16 +102,12 @@ mod tests {
         r.banner("table1", "energy per policy");
         outln!(r, "row {}", 1);
         outln!(r);
-        r.sample("plan", 1_234, 100);
         let snap = ring.snapshot();
-        assert_eq!(snap.len(), 3); // blank line is not mirrored
+        assert_eq!(snap.len(), 2); // blank line is not mirrored
         assert_eq!(
             snap[0].event,
             Event::Note { text: "[table1] == table1: energy per policy".into() }
         );
-        assert_eq!(
-            snap[2].event,
-            Event::BenchSample { name: "table1/plan".into(), ns_per_iter: 1_234, iters: 100 }
-        );
+        assert_eq!(snap[1].event, Event::Note { text: "[table1] row 1".into() });
     }
 }

@@ -1,15 +1,15 @@
 //! Phase-accounting lock: the paper day's phase scopes double-count
-//! nothing against the wall `perf` brackets from outside.
+//! nothing against the wall of the `run_day` call, timed from outside.
 //!
-//! `perf` reads its committed `day_paper_<phase>_secs` keys from the
-//! profile tree of a warm §5.1 day and closes the books with an `other`
-//! residual against the `run_day` call it times with [`wall`]. The five
-//! phase scopes must therefore sum to no more than that outside wall
-//! (±5% for the clock reads themselves on very fast machines) — or a
-//! double-counted scope would silently inflate the `BENCH_sim.json`
-//! breakdown — and to at least half of it, or the residual would swamp
-//! the phases. The scopes' shape inside the tree (order, one call per
-//! interval, bounded by the `run_day` scope) is locked by `oasis-cli`'s
+//! The profile tree splits a warm §5.1 day into five phase scopes under
+//! `run_day`, and `oasis report --wall true` prints their wall columns.
+//! Those scopes must sum to no more than the outside wall of the
+//! `run_day` call, timed here with [`wall`] (±5% for the clock reads
+//! themselves on very fast machines) — or a double-counted scope would
+//! silently inflate the per-phase breakdown — and to at least half of
+//! it, or the unscoped remainder would swamp the phases. The scopes'
+//! shape inside the tree (order, one call per interval, bounded by the
+//! `run_day` scope) is locked by `oasis-cli`'s
 //! `profile_self_times_sum_to_the_root_total`.
 
 use oasis_bench::timing::wall;
@@ -20,7 +20,7 @@ use oasis_telemetry::{Level, Telemetry};
 fn day_phase_brackets_partition_the_wall() {
     let cfg = || ClusterConfig::builder().seed(1).build().expect("valid §5.1 configuration");
     // Warmup fills the process-wide trace cache, so the profiled day
-    // below measures the warm steady state `BENCH_sim.json` records.
+    // below measures the warm steady state every later day pays.
     let _ = ClusterSim::new(cfg()).run_day();
     let telemetry = Telemetry::new(Level::Warn);
     let mut sim = ClusterSim::new(cfg());

@@ -30,7 +30,7 @@ use crate::sim::ClusterSim;
 /// Cluster scale an experiment runs at.
 ///
 /// [`Scale::PAPER`] is §5.1's rack; [`Scale::SMOKE`] is the reduced rack
-/// the perf bench and CI smoke jobs use so a sweep finishes in seconds;
+/// `--scale smoke` and the CI smoke jobs use so a sweep finishes in seconds;
 /// [`Scale::DATACENTER`] is the sharded multi-rack tier (one simulated
 /// rack per [`crate::shard`] shard).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl Scale {
     /// The paper's §5.1 deployment: 30 home hosts × 30 VMs, one rack.
     pub const PAPER: Scale = Scale { home_hosts: 30, vms_per_host: 30, racks: 1 };
 
-    /// A reduced rack for smoke/perf runs: 6 home hosts × 10 VMs.
+    /// A reduced rack for smoke runs: 6 home hosts × 10 VMs.
     pub const SMOKE: Scale = Scale { home_hosts: 6, vms_per_host: 10, racks: 1 };
 
     /// The datacenter tier: 5,000 micro-racks of 4 home + 1

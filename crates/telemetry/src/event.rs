@@ -384,15 +384,6 @@ pub enum Event {
         /// Id of the decision the recovery belongs to.
         decision: u64,
     },
-    /// One benchmark measurement, routed from the bench reporter.
-    BenchSample {
-        /// Benchmark name.
-        name: String,
-        /// Mean nanoseconds per iteration.
-        ns_per_iter: u64,
-        /// Iterations measured.
-        iters: u64,
-    },
     /// Free-form annotation (bench banners, harness notes).
     Note {
         /// The message text.
@@ -423,7 +414,6 @@ impl Event {
             Event::MigrationStalled { .. } => "migration_stalled",
             Event::MigrationAborted { .. } => "migration_aborted",
             Event::RecoveryApplied { .. } => "recovery_applied",
-            Event::BenchSample { .. } => "bench_sample",
             Event::Note { .. } => "note",
         }
     }
@@ -540,11 +530,6 @@ impl Event {
                     r#","action":"{}","target":{target},"decision":{decision}"#,
                     action.as_str()
                 );
-            }
-            Event::BenchSample { name, ns_per_iter, iters } => {
-                out.push_str(",\"name\":");
-                escape_into(out, name);
-                let _ = write!(out, r#","ns_per_iter":{ns_per_iter},"iters":{iters}"#);
             }
             Event::Note { text } => {
                 out.push_str(",\"text\":");
@@ -747,7 +732,6 @@ mod tests {
             Event::MigrationStalled { vm: 0, from: 0, to: 0, decision: 0 },
             Event::MigrationAborted { vm: 0, from: 0, to: 0, attempts: 3, decision: 0 },
             Event::RecoveryApplied { action: RecoveryKind::Rehome, target: 0, decision: 0 },
-            Event::BenchSample { name: String::new(), ns_per_iter: 0, iters: 0 },
             Event::Note { text: String::new() },
         ];
         let mut kinds: Vec<_> = events.iter().map(|e| e.kind()).collect();
