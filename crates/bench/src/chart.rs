@@ -1,8 +1,8 @@
-//! Terminal chart rendering for the figure binaries.
+//! Terminal chart rendering for the figure experiments.
 //!
 //! Small, dependency-free plotting: column charts for time series and
-//! step plots for CDFs, so the `figNN` binaries show the *shape* of each
-//! figure directly in the terminal, not just its numbers.
+//! step plots for CDFs, so the figure experiments show the *shape* of
+//! each figure directly in the terminal, not just its numbers.
 
 /// Renders a column chart of `values` using `height` text rows.
 ///

@@ -1,11 +1,12 @@
 //! The shared experiment reporter.
 //!
-//! Every binary in `src/bin/` routes its output through a [`Reporter`]
-//! instead of bare `println!`: lines still reach stdout unchanged, but
-//! each one is mirrored as a structured [`Event::Note`] into a
-//! telemetry sink. Set `OASIS_BENCH_TRACE=/path/to/file.jsonl` to
-//! capture the stream; the file is appended to so `all_experiments`
-//! accumulates one trace.
+//! The `experiments` binary routes its output through a [`Reporter`]
+//! per experiment instead of bare `println!`: lines still reach stdout
+//! unchanged, but each one is mirrored as a structured [`Event::Note`],
+//! tagged with the experiment id, into a telemetry sink. Set
+//! `OASIS_BENCH_TRACE=/path/to/file.jsonl` to capture the stream; the
+//! file is appended to, so one run accumulates every experiment's
+//! lines in one trace.
 
 use oasis_telemetry::{Event, JsonlSink, Level, Telemetry};
 use std::path::Path;
@@ -44,27 +45,11 @@ impl Reporter {
         Reporter { experiment: experiment.to_string(), telemetry }
     }
 
-    /// Prints the standard experiment banner.
-    pub fn banner(&self, id: &str, title: &str) {
-        self.line(&format!("== {id}: {title}"));
-    }
-
     /// Prints one line to stdout and mirrors it as a note event.
     pub fn line(&self, text: &str) {
         println!("{text}");
         if self.telemetry.is_enabled() && !text.is_empty() {
             self.telemetry.emit(Event::Note { text: format!("[{}] {text}", self.experiment) });
-        }
-    }
-
-    /// Prints a pre-rendered multi-line block (e.g. a terminal chart)
-    /// verbatim and mirrors each non-empty line as a note event.
-    pub fn block(&self, text: &str) {
-        print!("{text}");
-        if self.telemetry.is_enabled() {
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                self.telemetry.emit(Event::Note { text: format!("[{}] {line}", self.experiment) });
-            }
         }
     }
 }
@@ -73,19 +58,6 @@ impl Drop for Reporter {
     fn drop(&mut self) {
         self.telemetry.flush();
     }
-}
-
-/// Prints a formatted line through a [`Reporter`] (drop-in for
-/// `println!`): `outln!(r)` for a blank line, `outln!(r, "fmt", args..)`
-/// otherwise.
-#[macro_export]
-macro_rules! outln {
-    ($r:expr) => {
-        $r.line("")
-    };
-    ($r:expr, $($arg:tt)*) => {
-        $r.line(&format!($($arg)*))
-    };
 }
 
 #[cfg(test)]
@@ -99,9 +71,9 @@ mod tests {
         let ring = RingSink::new(16);
         tel.attach(Box::new(ring.clone()));
         let r = Reporter::with_telemetry("table1", tel);
-        r.banner("table1", "energy per policy");
-        outln!(r, "row {}", 1);
-        outln!(r);
+        r.line("== table1: energy per policy");
+        r.line("row 1");
+        r.line("");
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 2); // blank line is not mirrored
         assert_eq!(

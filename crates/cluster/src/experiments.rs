@@ -1,7 +1,7 @@
 //! Canned experiment configurations for every table and figure of §5.
 //!
 //! Each function reproduces one evaluation artifact and returns plain data
-//! that the `oasis-bench` binaries print as rows/series. The paper's
+//! that `oasis-bench`'s `experiments` binary prints as rows/series. The paper's
 //! defaults — 30 home hosts, 4 consolidation hosts, 900 VMs, 5 averaged
 //! runs — are baked in but scale down for quick runs via the `runs`
 //! parameters and [`Scale`].
