@@ -134,6 +134,10 @@ fn planner_from(args: &Args) -> PlannerScope {
 }
 
 fn cluster_config(args: &Args) -> ClusterConfig {
+    // The single-rack day runs no pool, but a bad `--jobs` still fails.
+    if let Some(v) = args.get("jobs") {
+        parse_jobs(v).unwrap_or_else(|e| fail(e));
+    }
     let policy: PolicyKind = args
         .get("policy")
         .map(|p| p.parse().unwrap_or_else(|e| fail(e)))
@@ -206,14 +210,16 @@ const BASE_FLAGS: &[&str] = &[
     "jobs",
 ];
 
+/// Parses a `--jobs` value: a worker count of at least one.
+fn parse_jobs(v: &str) -> Result<usize, &'static str> {
+    v.parse().ok().filter(|&n| n > 0).ok_or("bad --jobs (want a count ≥ 1)")
+}
+
 /// The worker pool requested by `--jobs`, falling back to `OASIS_JOBS`
 /// and then the machine's available parallelism.
 fn pool_from(args: &Args) -> WorkerPool {
     match args.get("jobs") {
-        Some(v) => {
-            let jobs: usize = v.parse().unwrap_or_else(|_| fail("bad --jobs (want a count ≥ 1)"));
-            WorkerPool::new(jobs)
-        }
+        Some(v) => WorkerPool::new(parse_jobs(v).unwrap_or_else(|e| fail(e))),
         None => WorkerPool::from_env(),
     }
 }
@@ -569,5 +575,19 @@ pub fn run() {
         "micro" => cmd_micro(Args::parse(argv, &["seed"]).unwrap_or_else(|e| fail(e))),
         "trace" => cmd_trace(argv),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_jobs;
+
+    #[test]
+    fn jobs_wants_a_positive_count() {
+        assert_eq!(parse_jobs("1"), Ok(1));
+        assert_eq!(parse_jobs("8"), Ok(8));
+        for bad in ["0", "x", "", "-1", "2.5"] {
+            assert_eq!(parse_jobs(bad), Err("bad --jobs (want a count ≥ 1)"), "{bad:?}");
+        }
     }
 }

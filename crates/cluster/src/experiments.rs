@@ -327,12 +327,7 @@ pub fn figure12_on(pool: &WorkerPool, day: DayKind, runs: u64) -> Vec<(u32, u32,
 }
 
 /// Runs one sharded datacenter day at `scale` under the paper's default
-/// FulltoPartial policy (pool sized from `OASIS_JOBS`).
-pub fn run_datacenter(scale: Scale, planner: PlannerScope, seed: u64) -> DatacenterReport {
-    run_datacenter_on(&WorkerPool::from_env(), scale, planner, seed)
-}
-
-/// [`run_datacenter`] on an explicit worker pool.
+/// FulltoPartial policy on `pool`.
 pub fn run_datacenter_on(
     pool: &WorkerPool,
     scale: Scale,

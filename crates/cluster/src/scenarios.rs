@@ -439,11 +439,6 @@ pub fn run_scenario_on(
     Ok(report)
 }
 
-/// [`run_scenario_on`] with the environment-sized worker pool.
-pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> Result<ScenarioReport, ConfigError> {
-    run_scenario_on(&WorkerPool::from_env(), spec, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

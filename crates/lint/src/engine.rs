@@ -1,15 +1,14 @@
 //! The analysis driver: test-region detection, pragma suppression, the
-//! parallel workspace walker, and the two-phase analysis pipeline.
+//! workspace walker, and the read → analyze → global-pass pipeline.
 //!
-//! **Phase A** is per-file and pure — lex, match per-site rules, parse
-//! function/call structure, apply pragmas — so it fans out across
-//! `oasis_sim::pool::WorkerPool` workers and caches by content hash
-//! ([`crate::cache`]). **Phase B** is global and cheap: it assembles the
-//! workspace call graph ([`crate::graph`]), runs the determinism taint
-//! analysis ([`crate::taint`]), and settles pragma health that needs
-//! whole-workspace knowledge (boundary usage, `allow(determinism-taint)`
-//! staleness). Findings are fully sorted at the end, so output is
-//! byte-identical for any job count and any cache state.
+//! **Phase A** is per-file and pure — read, lex, match per-site rules,
+//! parse function/call structure, apply pragmas — so it fans out across
+//! `oasis_sim::pool::WorkerPool` workers. **Phase B** is global and
+//! cheap: it assembles the workspace call graph ([`crate::graph`]), runs
+//! the determinism taint analysis ([`crate::taint`]), and settles pragma
+//! health that needs whole-workspace knowledge (boundary usage,
+//! `allow(determinism-taint)` staleness). Findings are fully sorted at
+//! the end, so output is byte-identical for any worker count.
 
 use std::fs;
 use std::io;
@@ -17,8 +16,6 @@ use std::path::{Path, PathBuf};
 
 use oasis_sim::pool::WorkerPool;
 
-use crate::cache;
-use crate::fix::Fix;
 use crate::graph;
 use crate::lexer::{lex, Lexed, PragmaParse, Tok, TokKind};
 use crate::parse::{self, FileRecord, TaintKind};
@@ -37,16 +34,6 @@ const FIXTURES_PREFIX: &str = "crates/lint/tests/fixtures";
 /// (attributes and doc comments in between are fine).
 const BOUNDARY_ATTACH_WINDOW: u32 = 16;
 
-/// Driver options for a workspace analysis.
-#[derive(Clone, Debug, Default)]
-pub struct Options {
-    /// Worker count for the per-file phase; `None` falls back to
-    /// `OASIS_JOBS` and then the machine's available parallelism.
-    pub jobs: Option<usize>,
-    /// Incremental cache file; `None` disables caching.
-    pub cache: Option<PathBuf>,
-}
-
 /// Result of linting a file tree.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -54,12 +41,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files examined.
     pub checked_files: usize,
-    /// Files whose per-file analysis was reused from the cache. Kept out
-    /// of every serialized output so warm and cold runs stay
-    /// byte-identical.
-    pub cache_hits: usize,
-    /// Machine-applicable edits for `--fix`, sorted by (file, line).
-    pub fixes: Vec<Fix>,
 }
 
 impl Report {
@@ -72,10 +53,10 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                crate::json_escape(&f.file),
+                json_escape(&f.file),
                 f.line,
-                crate::json_escape(&f.rule),
-                crate::json_escape(&f.message)
+                json_escape(&f.rule),
+                json_escape(&f.message)
             ));
         }
         if !self.findings.is_empty() {
@@ -90,6 +71,23 @@ impl Report {
     }
 }
 
+/// Escapes a string for embedding in a JSON document.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// A `boundary(<rule>, "...")` pragma recorded for phase-B health checks.
 #[derive(Clone, Debug)]
 pub struct BoundaryRec {
@@ -101,8 +99,6 @@ pub struct BoundaryRec {
     pub fn_idx: Option<usize>,
     /// Whether the boundary suppressed a per-site finding in phase A.
     pub used_local: bool,
-    /// Raw comment text for `--fix` removal edits.
-    pub raw: String,
 }
 
 /// An `allow(determinism-taint, "...")` pragma: its staleness can only
@@ -113,21 +109,15 @@ pub struct DeferredAllow {
     pub line: u32,
     /// Always `determinism-taint` today; kept for forward compatibility.
     pub rule: String,
-    /// Raw comment text for `--fix` removal edits.
-    pub raw: String,
 }
 
-/// The cacheable result of the per-file phase.
+/// The result of the per-file phase.
 #[derive(Clone, Debug, Default)]
 pub struct FileAnalysis {
     /// Workspace-relative path.
     pub rel: String,
-    /// FNV-1a hash of the file bytes (cache key).
-    pub hash: u64,
     /// Per-site findings after suppression, sorted by (line, rule).
     pub findings: Vec<Finding>,
-    /// Per-site fixes (stale allows, print hygiene).
-    pub fixes: Vec<Fix>,
     /// Parsed non-test functions (graph/taint input).
     pub record: FileRecord,
     /// Boundary pragmas awaiting phase-B usage judgment.
@@ -251,30 +241,8 @@ fn test_regions(toks: &[Tok], all_test: bool) -> (Vec<bool>, Vec<TestRegion>) {
     (mask, regions)
 }
 
-/// Computes a print-hygiene fix for the source line, if the offending
-/// macro sits there in a statement-shaped position. Longest names first:
-/// `eprintln!` contains `println!` as a substring.
-fn print_fix(line_text: &str) -> Option<(String, String)> {
-    if line_text.contains("dbg!") {
-        return Some(("dbg!".to_string(), String::new()));
-    }
-    for name in ["eprintln", "println", "eprint", "print"] {
-        let bare = format!("{name}!()");
-        if line_text.contains(&bare) {
-            // No arguments: the macro only emits a newline; `()` is the
-            // same `()`-typed expression without the I/O.
-            return Some((bare, "()".to_string()));
-        }
-        let mac = format!("{name}!");
-        if line_text.contains(&mac) {
-            return Some((mac, "let _ = format!".to_string()));
-        }
-    }
-    None
-}
-
 /// Runs the per-file phase: lex, per-site rules, structure parsing, and
-/// pragma application. Pure in `(rel, src)` — the cache contract.
+/// pragma application. Pure in `(rel, src)`.
 pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     let Lexed { tokens, pragmas } = lex(src);
     let all_test = path_is_test_context(rel);
@@ -284,7 +252,6 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
 
     let mut analysis = FileAnalysis {
         rel: rel.to_string(),
-        hash: cache::content_hash(src.as_bytes()),
         record: FileRecord { rel: rel.to_string(), fns: parse::parse_file(&tokens, &mask) },
         ..FileAnalysis::default()
     };
@@ -329,7 +296,6 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
                     rule: rule.clone(),
                     fn_idx: Some(idx),
                     used_local: false,
-                    raw: p.raw.clone(),
                 });
             }
             None => findings.push(Finding {
@@ -420,11 +386,7 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
                 ),
             }),
             PragmaParse::Allow { rule, .. } if rule == "determinism-taint" && !used[pi] => {
-                analysis.deferred_allows.push(DeferredAllow {
-                    line: p.line,
-                    rule: rule.clone(),
-                    raw: p.raw.clone(),
-                });
+                analysis.deferred_allows.push(DeferredAllow { line: p.line, rule: rule.clone() });
             }
             PragmaParse::Allow { rule, .. } if !used[pi] => {
                 findings.push(Finding {
@@ -436,52 +398,24 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
                          remove the stale pragma"
                     ),
                 });
-                analysis.fixes.push(Fix {
-                    file: rel.to_string(),
-                    line: p.line,
-                    rule: "unused-pragma".to_string(),
-                    find: p.raw.clone(),
-                    replace: String::new(),
-                });
             }
             PragmaParse::Allow { .. } | PragmaParse::Boundary { .. } => {}
         }
     }
 
-    // Print-hygiene fixes are textual and safe: attach one per finding
-    // whose line contains a recognizable macro.
-    let lines: Vec<&str> = src.lines().collect();
-    for f in &findings {
-        if f.rule != "print-hygiene" {
-            continue;
-        }
-        let Some(text) = lines.get(f.line as usize - 1) else { continue };
-        if let Some((find, replace)) = print_fix(text) {
-            analysis.fixes.push(Fix {
-                file: rel.to_string(),
-                line: f.line,
-                rule: "print-hygiene".to_string(),
-                find,
-                replace,
-            });
-        }
-    }
-
     findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    analysis.fixes.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     analysis.findings = findings;
     analysis
 }
 
 /// Phase B: the global pass over all per-file analyses (which must be
-/// sorted by `rel`). Returns workspace-level findings and fixes.
-fn global_pass(files: &mut [FileAnalysis]) -> (Vec<Finding>, Vec<Fix>) {
+/// sorted by `rel`). Returns the workspace-level findings.
+fn global_pass(files: &[FileAnalysis]) -> Vec<Finding> {
     let records: Vec<FileRecord> = files.iter().map(|a| a.record.clone()).collect();
     let g = graph::build(&records);
     let t = taint::analyze(&records, &g);
 
     let mut findings = Vec::new();
-    let mut fixes = Vec::new();
 
     // Taint findings, minus those excused by `allow(determinism-taint)`.
     let mut deferred_used: Vec<Vec<bool>> =
@@ -514,13 +448,6 @@ fn global_pass(files: &mut [FileAnalysis]) -> (Vec<Finding>, Vec<Fix>) {
                      remove the stale pragma",
                     p.rule
                 ),
-            });
-            fixes.push(Fix {
-                file: a.rel.clone(),
-                line: p.line,
-                rule: "unused-pragma".to_string(),
-                find: p.raw.clone(),
-                replace: String::new(),
             });
         }
     }
@@ -559,52 +486,38 @@ fn global_pass(files: &mut [FileAnalysis]) -> (Vec<Finding>, Vec<Fix>) {
                     b.rule
                 ),
             });
-            fixes.push(Fix {
-                file: a.rel.clone(),
-                line: b.line,
-                rule: "unused-pragma".to_string(),
-                find: b.raw.clone(),
-                replace: String::new(),
-            });
         }
     }
 
-    (findings, fixes)
+    findings
 }
 
-/// Assembles the final report from sorted per-file analyses.
-fn finish(mut analyses: Vec<FileAnalysis>, cache_hits: usize) -> Report {
-    let (global_findings, global_fixes) = global_pass(&mut analyses);
-    let mut report = Report { checked_files: analyses.len(), cache_hits, ..Report::default() };
+/// Sorts the per-file analyses by path (the global pass looks files up
+/// by binary search), runs the global pass and assembles the report.
+fn finish(mut analyses: Vec<FileAnalysis>) -> Report {
+    analyses.sort_by(|a, b| a.rel.cmp(&b.rel));
+    let mut findings = global_pass(&analyses);
     for a in &mut analyses {
-        report.findings.append(&mut a.findings);
-        report.fixes.append(&mut a.fixes);
+        findings.append(&mut a.findings);
     }
-    report.findings.extend(global_findings);
-    report.fixes.extend(global_fixes);
-    report.findings.sort_by(|a, b| {
+    findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });
-    report.fixes.sort_by(|a, b| {
-        (&a.file, a.line, &a.rule, &a.find).cmp(&(&b.file, b.line, &b.rule, &b.find))
-    });
-    report
+    Report { findings, checked_files: analyses.len() }
 }
 
 /// Analyzes a set of in-memory sources as one workspace (fixture and
 /// test surface; order of the input list does not matter).
 pub fn analyze_sources(files: &[(&str, &str)]) -> Report {
-    let mut analyses: Vec<FileAnalysis> = files.iter().map(|(p, s)| analyze_file(p, s)).collect();
-    analyses.sort_by(|a, b| a.rel.cmp(&b.rel));
-    finish(analyses, 0)
+    finish(files.iter().map(|(p, s)| analyze_file(p, s)).collect())
 }
 
 /// Renders the deterministic call-graph dump for a set of in-memory
 /// sources (golden-file surface for the graph builder).
 pub fn graph_dump(files: &[(&str, &str)]) -> String {
-    let mut analyses: Vec<FileAnalysis> = files.iter().map(|(p, s)| analyze_file(p, s)).collect();
-    analyses.sort_by(|a, b| a.rel.cmp(&b.rel));
-    let records: Vec<FileRecord> = analyses.iter().map(|a| a.record.clone()).collect();
+    let mut records: Vec<FileRecord> =
+        files.iter().map(|(p, s)| analyze_file(p, s).record).collect();
+    records.sort_by(|a, b| a.rel.cmp(&b.rel));
     graph::dump(&records, &graph::build(&records))
 }
 
@@ -644,62 +557,25 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Lints every `.rs` file under `root` with default options (sequential
-/// fallback via the pool's env sizing, no cache).
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    analyze_workspace(root, &Options::default())
-}
-
 /// Lints every `.rs` file under `root` (skipping build output, VCS state
-/// and the lint fixtures). The per-file phase runs on a worker pool and
-/// consults the content-hash cache; output is byte-identical for any
-/// `jobs` value and any cache state.
-pub fn analyze_workspace(root: &Path, opts: &Options) -> io::Result<Report> {
+/// and the lint fixtures) on `pool`.
+pub fn analyze_workspace(root: &Path, pool: &WorkerPool) -> io::Result<Report> {
     let root = root.canonicalize()?;
     let mut files = Vec::new();
     collect_rs_files(&root, &root, &mut files)?;
-    files.sort();
-
-    let cached = opts.cache.as_deref().map(cache::load).unwrap_or_default();
-    let pool = match opts.jobs {
-        Some(j) => WorkerPool::new(j),
-        None => WorkerPool::from_env(),
-    };
-    let inputs: Vec<(String, PathBuf)> =
-        files.into_iter().map(|f| (rel_path(&root, &f), f)).collect();
-    let results: Vec<Result<(FileAnalysis, bool), String>> = pool.map(inputs, |(rel, path)| {
-        let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let hash = cache::content_hash(src.as_bytes());
-        if let Some(hit) = cached.get(&rel) {
-            if hit.hash == hash {
-                return Ok((hit.clone(), true));
-            }
-        }
-        Ok((analyze_file(&rel, &src), false))
-    });
-
-    let mut analyses = Vec::with_capacity(results.len());
-    let mut cache_hits = 0usize;
-    for r in results {
-        let (a, hit) = r.map_err(io::Error::other)?;
-        cache_hits += usize::from(hit);
-        analyses.push(a);
-    }
-    if let Some(cp) = &opts.cache {
-        cache::store(cp, &analyses);
-    }
-    Ok(finish(analyses, cache_hits))
+    analyze_files(&root, files, pool)
 }
 
-/// Lints an explicit list of files, reporting paths relative to `root`.
-pub fn lint_files(root: &Path, files: &[PathBuf]) -> io::Result<Report> {
-    let mut analyses = Vec::with_capacity(files.len());
-    for file in files {
-        let src = fs::read_to_string(file)?;
-        analyses.push(analyze_file(&rel_path(root, file), &src));
-    }
-    analyses.sort_by(|a, b| a.rel.cmp(&b.rel));
-    Ok(finish(analyses, 0))
+/// Reads and analyzes `files` on `pool`, then runs the global pass,
+/// reporting paths relative to `root`. Output is byte-identical for any
+/// worker count.
+pub fn analyze_files(root: &Path, files: Vec<PathBuf>, pool: &WorkerPool) -> io::Result<Report> {
+    let analyses = pool.map(files, |path| {
+        let src = fs::read_to_string(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        Ok(analyze_file(&rel_path(root, &path), &src))
+    });
+    Ok(finish(analyses.into_iter().collect::<io::Result<_>>()?))
 }
 
 /// Finds the workspace root by walking up from `start` until a

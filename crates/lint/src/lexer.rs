@@ -68,9 +68,6 @@ pub struct Pragma {
     pub parse: PragmaParse,
     /// 1-based line the comment sits on.
     pub line: u32,
-    /// The raw comment text (from `//` to end of line), kept so `--fix`
-    /// can emit a machine-applicable removal edit for stale pragmas.
-    pub raw: String,
 }
 
 /// Tokenized source plus the pragmas its comments carried.
@@ -98,10 +95,8 @@ fn is_ident_continue(c: char) -> bool {
 fn parse_pragma(comment: &str, line: u32) -> Option<Pragma> {
     let marker = "oasis-lint";
     let at = comment.find(marker)?;
-    let raw = comment.to_string();
-    let malformed = |why: &str| {
-        Some(Pragma { parse: PragmaParse::Malformed(why.to_string()), line, raw: raw.clone() })
-    };
+    let malformed =
+        |why: &str| Some(Pragma { parse: PragmaParse::Malformed(why.to_string()), line });
     let rest = comment[at + marker.len()..].trim_start();
     let Some(rest) = rest.strip_prefix(':') else {
         return malformed("expected `oasis-lint: allow|boundary(<rule>, \"<reason>\")`");
@@ -142,7 +137,7 @@ fn parse_pragma(comment: &str, line: u32) -> Option<Pragma> {
     } else {
         PragmaParse::Allow { rule, reason }
     };
-    Some(Pragma { parse, line, raw })
+    Some(Pragma { parse, line })
 }
 
 /// Tokenizes `src`, capturing suppression pragmas along the way.

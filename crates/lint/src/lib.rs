@@ -8,11 +8,12 @@
 //! byte-arithmetic unit safety and library print-hygiene — into
 //! CI-enforced rules.
 //!
-//! The pass is dependency-free. It lexes every Rust source in the
-//! workspace with a comment/string/raw-string-aware tokenizer (rules never
-//! fire inside doc comments or string literals), skips `#[cfg(test)]` /
-//! `#[test]` regions and test-context directories (`tests/`, `benches/`,
-//! `examples/`), and supports per-site suppression pragmas:
+//! The pass depends only on `oasis-sim`'s `WorkerPool`. It lexes every
+//! Rust source in the workspace with a comment/string/raw-string-aware
+//! tokenizer (rules never fire inside doc comments or string literals),
+//! skips `#[cfg(test)]` / `#[test]` regions and test-context directories
+//! (`tests/`, `benches/`, `examples/`), and supports per-site suppression
+//! pragmas:
 //!
 //! ```text
 //! // oasis-lint: allow(panic-hygiene, "state machine invariant: ...")
@@ -37,19 +38,15 @@
 //! an intervening boundary pragma is a `determinism-taint` finding, with
 //! a deterministic witness path in the message.
 //!
-//! Run with `cargo run -p oasis-lint`; `--format=json` and
-//! `--format=sarif` emit machine-readable reports for CI artifacts,
-//! `--jobs`/`--cache` control the parallel incremental driver, and
-//! `--fix` prints machine-applicable edits as JSON.
+//! Run with `cargo run -p oasis-lint`; `--format=json` emits the
+//! machine-readable report CI uploads. The per-file phase runs on
+//! `WorkerPool::from_env()`, so `OASIS_JOBS` sets its worker count.
 
-pub mod cache;
 pub mod engine;
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 pub mod taint;
 
 /// One rule violation (or pragma-health problem) at a source location.
@@ -69,21 +66,4 @@ impl core::fmt::Display for Finding {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -3,27 +3,24 @@
 //! ```text
 //! cargo run -p oasis-lint                 # lint the whole workspace
 //! cargo run -p oasis-lint -- --format=json
-//! cargo run -p oasis-lint -- --format=sarif
-//! cargo run -p oasis-lint -- --jobs 4 --cache target/oasis-lint.cache
-//! cargo run -p oasis-lint -- --fix        # print machine-applicable edits
 //! cargo run -p oasis-lint -- crates/host/src/hypervisor.rs
 //! cargo run -p oasis-lint -- --list-rules
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error. Findings (and
-//! fixes) are byte-identical for any `--jobs` value and any cache state.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error. The per-file
+//! phase runs on `OASIS_JOBS` workers (default: available parallelism);
+//! findings are byte-identical for any worker count.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oasis_lint::engine::{analyze_workspace, find_workspace_root, lint_files, Options, Report};
+use oasis_lint::engine::{analyze_files, analyze_workspace, find_workspace_root, Report};
 use oasis_lint::rules::RULES;
-use oasis_lint::{fix, sarif};
+use oasis_sim::pool::WorkerPool;
 
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Args {
@@ -31,13 +28,10 @@ struct Args {
     root: Option<PathBuf>,
     paths: Vec<String>,
     list_rules: bool,
-    jobs: Option<usize>,
-    cache: Option<PathBuf>,
-    fix: bool,
 }
 
-const USAGE: &str = "usage: oasis-lint [--root <dir>] [--format=human|json|sarif] [--jobs N] \
-[--cache <file>] [--fix] [--list-rules] [paths...]
+const USAGE: &str =
+    "usage: oasis-lint [--root <dir>] [--format=human|json] [--list-rules] [paths...]
 
 Lints every .rs file in the workspace (or just the given paths, relative
 to the workspace root) against the determinism, panic-hygiene and
@@ -50,43 +44,25 @@ or justify a contained taint dependency on a whole function with:
 
     // oasis-lint: boundary(<rule>, \"<reason>\")
 
---jobs N     analyze files on N workers (default: OASIS_JOBS, then
-             available parallelism); output is identical for any N
---cache F    reuse per-file results for unchanged files via content hash
---fix        print machine-applicable edits (JSON) for unused-pragma and
-             print-hygiene findings instead of the report
+OASIS_JOBS sets the worker count (default: available parallelism);
+output is identical for any value.
 ";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        format: Format::Human,
-        root: None,
-        paths: Vec::new(),
-        list_rules: false,
-        jobs: None,
-        cache: None,
-        fix: false,
-    };
+    let mut args = Args { format: Format::Human, root: None, paths: Vec::new(), list_rules: false };
     let set_format = |args: &mut Args, v: &str| {
         args.format = match v {
             "human" => Format::Human,
             "json" => Format::Json,
-            "sarif" => Format::Sarif,
             other => return Err(format!("bad --format value {other:?}")),
         };
         Ok(())
-    };
-    let parse_jobs = |v: Option<&str>| -> Result<usize, String> {
-        v.and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "--jobs needs a positive integer".to_string())
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "-h" | "--help" => return Err(String::new()),
             "--list-rules" => args.list_rules = true,
-            "--fix" => args.fix = true,
             "--format" => match it.next() {
                 Some(v) => set_format(&mut args, &v)?,
                 None => return Err("--format needs a value".to_string()),
@@ -95,20 +71,9 @@ fn parse_args() -> Result<Args, String> {
                 Some(p) => args.root = Some(PathBuf::from(p)),
                 None => return Err("--root needs a directory".to_string()),
             },
-            "--jobs" => args.jobs = Some(parse_jobs(it.next().as_deref())?),
-            "--cache" => match it.next() {
-                Some(p) => args.cache = Some(PathBuf::from(p)),
-                None => return Err("--cache needs a file path".to_string()),
-            },
             _ if a.starts_with("--format=") => set_format(&mut args, &a["--format=".len()..])?,
             _ if a.starts_with("--root=") => {
                 args.root = Some(PathBuf::from(&a["--root=".len()..]));
-            }
-            _ if a.starts_with("--jobs=") => {
-                args.jobs = Some(parse_jobs(Some(&a["--jobs=".len()..]))?);
-            }
-            _ if a.starts_with("--cache=") => {
-                args.cache = Some(PathBuf::from(&a["--cache=".len()..]));
             }
             _ if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
             _ => args.paths.push(a),
@@ -135,35 +100,25 @@ fn run() -> Result<Report, String> {
             })?
         }
     };
+    let pool = WorkerPool::from_env();
     let report = if args.paths.is_empty() {
-        let opts = Options { jobs: args.jobs, cache: args.cache.clone() };
-        analyze_workspace(&root, &opts).map_err(|e| format!("walking {}: {e}", root.display()))?
+        analyze_workspace(&root, &pool).map_err(|e| format!("walking {}: {e}", root.display()))?
     } else {
-        let files: Vec<PathBuf> = args.paths.iter().map(|p| root.join(p)).collect();
-        lint_files(&root, &files).map_err(|e| format!("reading files: {e}"))?
+        let files = args.paths.iter().map(|p| root.join(p)).collect();
+        analyze_files(&root, files, &pool).map_err(|e| format!("reading files: {e}"))?
     };
-    if args.fix {
-        print!("{}", fix::to_json(&report.fixes));
-        return Ok(report);
-    }
     match args.format {
         Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => print!("{}", sarif::to_sarif(&report)),
         Format::Human => {
             for f in &report.findings {
                 println!("{f}");
             }
             eprintln!(
-                "oasis-lint: {} finding{} in {} file{} checked{}",
+                "oasis-lint: {} finding{} in {} file{} checked",
                 report.findings.len(),
                 if report.findings.len() == 1 { "" } else { "s" },
                 report.checked_files,
                 if report.checked_files == 1 { "" } else { "s" },
-                if report.cache_hits > 0 {
-                    format!(" ({} from cache)", report.cache_hits)
-                } else {
-                    String::new()
-                },
             );
         }
     }

@@ -128,10 +128,6 @@ pub const RULES: [Rule; 12] = [
     },
 ];
 
-/// Rule identifiers that only the engine emits (pragma health checks).
-/// They cannot be suppressed and need no fixtures per rule.
-pub const ENGINE_RULES: [&str; 3] = ["malformed-pragma", "unknown-rule", "unused-pragma"];
-
 /// `true` if `id` names a suppressible rule.
 pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)

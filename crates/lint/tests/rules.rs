@@ -256,26 +256,30 @@ fn cross_fn_span_fires_when_a_guard_escapes_into_a_callee() {
 }
 
 #[test]
-fn sarif_report_names_every_rule_and_locates_findings() {
+fn json_report_locates_findings() {
     let report = oasis_lint::engine::analyze_sources(&[(
         "crates/core/src/policy.rs",
         include_str!("fixtures/wall_clock/bad.rs"),
     )]);
-    let sarif = oasis_lint::sarif::to_sarif(&report);
-    assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-    assert!(sarif.contains("sarif-2.1.0.json"), "{sarif}");
-    // Every per-site rule plus the engine's pragma-health rules appear as
-    // reportingDescriptors, findings or not.
-    for rule in oasis_lint::rules::RULES {
-        assert!(sarif.contains(&format!("\"id\": \"{}\"", rule.id)), "missing {}", rule.id);
-    }
-    assert!(sarif.contains("\"id\": \"unused-pragma\""));
-    // The wall-clock findings carry physical locations.
-    assert!(sarif.contains("\"ruleId\": \"wall-clock\""), "{sarif}");
-    assert!(sarif.contains("\"uri\": \"crates/core/src/policy.rs\""), "{sarif}");
-    assert!(sarif.contains("\"startLine\": 2"), "{sarif}");
-
+    let json = report.to_json();
+    // One object per finding, in (file, line) order, with a fixed field
+    // order and a summary trailer.
+    let entry = |line: u32| {
+        format!(
+            "{{\"file\": \"crates/core/src/policy.rs\", \"line\": {line}, \"rule\": \"wall-clock\""
+        )
+    };
+    let at: Vec<usize> =
+        [2, 5, 6].iter().map(|&l| json.find(&entry(l)).expect("finding in JSON")).collect();
+    assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
+    assert!(json.starts_with("{\n  \"findings\": [\n    {"), "{json}");
+    assert!(json.ends_with("\n  ],\n  \"checked_files\": 1,\n  \"clean\": false\n}\n"), "{json}");
     // Byte-stable across identical inputs.
-    let again = oasis_lint::sarif::to_sarif(&report);
-    assert_eq!(sarif, again);
+    assert_eq!(json, report.to_json());
+
+    let clean = oasis_lint::engine::analyze_sources(&[("crates/core/src/policy.rs", "")]);
+    assert_eq!(
+        clean.to_json(),
+        "{\n  \"findings\": [],\n  \"checked_files\": 1,\n  \"clean\": true\n}\n"
+    );
 }

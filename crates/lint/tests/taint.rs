@@ -72,9 +72,6 @@ fn boundary_that_blocks_nothing_is_stale() {
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     assert_eq!(rules, vec!["unused-pragma"], "{:?}", report.findings);
     assert!(report.findings[0].message.contains("sample_latency"));
-    // And --fix offers to remove it.
-    assert_eq!(report.fixes.len(), 1);
-    assert!(report.fixes[0].find.contains("boundary(wall-clock"));
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Self-check: the workspace must finish `oasis-lint` with zero
 //! unsuppressed findings, and the report must be byte-identical whatever
-//! the worker count and whether the incremental cache is cold or warm.
+//! the worker count.
 //! If the clean check fails, either fix the flagged code or add a
 //! `// oasis-lint: allow(<rule>, "<reason>")` / `boundary(...)` pragma
 //! with a real justification.
 
 use std::path::Path;
 
-use oasis_lint::engine::{analyze_workspace, lint_workspace, Options};
+use oasis_lint::engine::analyze_workspace;
+use oasis_sim::pool::WorkerPool;
 
 fn root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -15,7 +16,7 @@ fn root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let report = lint_workspace(&root()).expect("workspace walk");
+    let report = analyze_workspace(&root(), &WorkerPool::from_env()).expect("workspace walk");
     assert!(
         report.checked_files > 100,
         "suspiciously few files checked ({}); walker broken?",
@@ -33,42 +34,11 @@ fn workspace_is_lint_clean() {
 #[test]
 fn report_is_byte_identical_across_job_counts() {
     let root = root();
-    let sequential =
-        analyze_workspace(&root, &Options { jobs: Some(1), cache: None }).expect("sequential run");
-    let parallel =
-        analyze_workspace(&root, &Options { jobs: Some(8), cache: None }).expect("parallel run");
+    let sequential = analyze_workspace(&root, &WorkerPool::new(1)).expect("sequential run");
+    let parallel = analyze_workspace(&root, &WorkerPool::new(8)).expect("parallel run");
     assert_eq!(
         sequential.to_json(),
         parallel.to_json(),
         "finding order must not depend on worker scheduling"
     );
-}
-
-#[test]
-fn report_is_byte_identical_across_cold_and_warm_cache() {
-    let root = root();
-    let cache = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-cache-determinism.v1");
-    let _ = std::fs::remove_file(&cache);
-
-    let opts = Options { jobs: Some(4), cache: Some(cache.clone()) };
-    let cold = analyze_workspace(&root, &opts).expect("cold run");
-    assert_eq!(cold.cache_hits, 0, "first run must not hit a cache that does not exist");
-    assert!(cache.exists(), "cold run must persist the cache");
-
-    let warm = analyze_workspace(&root, &opts).expect("warm run");
-    assert_eq!(
-        warm.cache_hits, warm.checked_files,
-        "unchanged tree: every file must come from the cache"
-    );
-    assert_eq!(
-        cold.to_json(),
-        warm.to_json(),
-        "cache reuse must not change the report by a single byte"
-    );
-
-    // A corrupt cache degrades to a cold run, never to wrong output.
-    std::fs::write(&cache, "oasis-lint-cache v999\ngarbage\n").expect("clobber cache");
-    let recovered = analyze_workspace(&root, &opts).expect("recovery run");
-    assert_eq!(recovered.cache_hits, 0, "unreadable cache must be ignored, not trusted");
-    assert_eq!(cold.to_json(), recovered.to_json());
 }
