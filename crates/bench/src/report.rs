@@ -56,25 +56,27 @@ impl Reporter {
 
 impl Drop for Reporter {
     fn drop(&mut self) {
-        self.telemetry.flush();
+        if let Err(err) = self.telemetry.flush() {
+            eprintln!("warning: cannot write OASIS_BENCH_TRACE: {err}");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_telemetry::RingSink;
+    use oasis_telemetry::BufferSink;
 
     #[test]
     fn lines_and_samples_reach_the_sink() {
         let tel = Telemetry::new(Level::Info);
-        let ring = RingSink::new(16);
-        tel.attach(Box::new(ring.clone()));
+        let buf = BufferSink::new();
+        tel.attach(Box::new(buf.clone()));
         let r = Reporter::with_telemetry("table1", tel);
         r.line("== table1: energy per policy");
         r.line("row 1");
         r.line("");
-        let snap = ring.snapshot();
+        let snap = buf.drain();
         assert_eq!(snap.len(), 2); // blank line is not mirrored
         assert_eq!(
             snap[0].event,

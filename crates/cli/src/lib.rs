@@ -355,6 +355,7 @@ fn cmd_sim(args: Args) {
     if telemetry.is_enabled() {
         print!("{}", report.telemetry);
     }
+    telemetry.flush().unwrap_or_else(|e| fail(e));
     if let Some(path) = args.get("metrics-out") {
         write_metrics(&telemetry, path);
     }

@@ -99,8 +99,8 @@ pub struct ClusterConfig {
     pub vm_allocation: ByteSize,
     /// Physical DRAM per host.
     pub host_memory: ByteSize,
-    /// Memory over-commit factor (assumption 1: 1.5 with ballooning and
-    /// deduplication).
+    /// Memory over-commit factor: assumption 1's constant 1.5, applied to
+    /// host memory as-is (no sharing or ballooning is simulated).
     pub overcommit: f64,
     /// Consolidation policy.
     pub policy: PolicyKind,
@@ -327,12 +327,6 @@ impl ClusterConfigBuilder {
     /// Supplies a recorded trace library instead of the synthetic model.
     pub fn trace(mut self, set: TraceSet) -> Self {
         self.config.trace = Some(set);
-        self
-    }
-
-    /// Rotates sampled user-days `k` intervals later (timezone stagger).
-    pub fn trace_rotation(mut self, k: u32) -> Self {
-        self.config.trace_rotation = k;
         self
     }
 

@@ -86,12 +86,6 @@ impl Scale {
         }
     }
 
-    /// Total hosts across all racks, with `cons` consolidation hosts
-    /// per rack.
-    pub fn total_hosts(&self, cons: u32) -> u32 {
-        self.racks * (self.home_hosts + cons)
-    }
-
     /// Total VMs across all racks.
     pub fn total_vms(&self) -> u32 {
         self.racks * self.home_hosts * self.vms_per_host

@@ -327,11 +327,6 @@ impl ScenarioReport {
         s.push_str("]}");
         s
     }
-
-    /// Sum of the per-generation split — equals the fleet ledger total.
-    pub fn generation_total_mj(&self) -> u64 {
-        self.generations.iter().map(|g| g.total_mj).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +495,7 @@ mod tests {
         assert!(d.contains("baseline_kwh=15.000000"));
         assert!(d.contains("savings=16.67%"));
         assert!(d.contains("gen[table1]=700mj/3hosts"));
-        assert_eq!(r.generation_total_mj(), 1000);
+        assert_eq!(r.generations.iter().map(|g| g.total_mj).sum::<u64>(), 1000);
         let j = r.to_json();
         assert!(j.starts_with("{\"scenario\":\"mixed_fleet\",\"seed\":1,"));
         assert!(j.contains("\"generations\":[{\"name\":\"table1\",\"hosts\":3,\"total_mj\":700}"));

@@ -2174,7 +2174,9 @@ impl ClusterSim {
     pub(crate) fn finish_report(self) -> SimReport {
         let baseline_kwh = self.baseline_joules / oasis_power::meter::JOULES_PER_KWH;
         let total_kwh = self.total_joules / oasis_power::meter::JOULES_PER_KWH;
-        self.telemetry.flush();
+        // A sink keeps its first write error and reports it on every
+        // flush; the caller that owns the sink checks it after the day.
+        let _ = self.telemetry.flush();
         let placements = self
             .vms
             .iter()

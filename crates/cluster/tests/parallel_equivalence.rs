@@ -124,7 +124,7 @@ fn week_stream(pool: &WorkerPool, base: &ClusterConfig) -> Vec<u8> {
     for (_, buffer) in &runs {
         buffer.replay_into(&mut sink);
     }
-    sink.flush();
+    sink.flush().unwrap();
     let bytes = shared.0.lock().unwrap().clone();
     bytes
 }

@@ -154,7 +154,7 @@ fn scenario_properties_hold_for_every_seed() {
         for seed in SEEDS {
             let digest = run_scenario_on(&pool, &spec, seed).unwrap();
             // Exactness of the split: integer sums, no remainder lost.
-            let ledger_total: u64 = digest.generation_total_mj();
+            let ledger_total: u64 = digest.generations.iter().map(|g| g.total_mj).sum();
             assert_eq!(
                 digest.generations.iter().map(|g| g.hosts).sum::<u32>(),
                 digest.hosts,

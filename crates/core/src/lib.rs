@@ -13,7 +13,6 @@
 //!   `FulltoPartial`, `NewHome`) plus two baselines (`AlwaysOn`,
 //!   `FullOnly`).
 //! * [`placement`] — the greedy vacate planner and destination selection.
-//! * [`idleness`] — dirty-rate based idleness detection (§3.1).
 //! * [`manager`] — the cluster manager façade that ties them together.
 //! * [`rebalance`] — inter-rack capacity rebalancing for the
 //!   datacenter tier's epoch-barrier planner.
@@ -21,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod idleness;
 pub mod manager;
 pub mod placement;
 pub mod policy;

@@ -54,11 +54,6 @@ impl PolicyKind {
         !matches!(self, PolicyKind::AlwaysOn | PolicyKind::FullOnly)
     }
 
-    /// `true` if the policy consolidates active VMs with full migration.
-    pub fn consolidates_active(self) -> bool {
-        !matches!(self, PolicyKind::AlwaysOn | PolicyKind::OnlyPartial)
-    }
-
     /// `true` if idle full VMs on consolidation hosts are exchanged for
     /// partial VMs.
     pub fn exchanges_full_for_partial(self) -> bool {
@@ -160,8 +155,6 @@ mod tests {
         assert!(!AlwaysOn.uses_partial());
         assert!(!FullOnly.uses_partial());
         assert!(OnlyPartial.uses_partial());
-        assert!(!OnlyPartial.consolidates_active());
-        assert!(Default.consolidates_active());
         assert!(!Default.exchanges_full_for_partial());
         assert!(FullToPartial.exchanges_full_for_partial());
         assert!(NewHome.exchanges_full_for_partial());

@@ -8,6 +8,7 @@
 use oasis_mem::ByteSize;
 use oasis_power::{AcpiController, HostEnergyProfile, MemoryServerProfile, PowerState};
 use oasis_sim::SimTime;
+use oasis_vm::vm::Residency;
 use oasis_vm::{VmId, VmState};
 
 use crate::hypervisor::{HvError, Hypervisor};
@@ -131,7 +132,7 @@ impl HostAgent {
                 state: h.vm.state,
                 allocation: h.vm.allocation,
                 demand: h.vm.memory_demand(),
-                partial: h.vm.is_partial(),
+                partial: h.vm.residency == Residency::Partial,
             })
             .collect();
         HostStats {
@@ -145,7 +146,7 @@ impl HostAgent {
         }
     }
 
-    /// Marks a hosted VM active/idle (driven by the idleness monitor).
+    /// Marks a hosted VM active/idle.
     pub fn set_vm_state(&mut self, id: VmId, state: VmState) -> Result<(), HvError> {
         self.hypervisor.vm_mut(id)?.vm.state = state;
         Ok(())

@@ -65,25 +65,9 @@ impl GuestMemoryImage {
         ByteSize::bytes(u64::from(samples[idx]))
     }
 
-    /// Total compressed size of a set of pages.
-    pub fn compressed_size_of(&self, pages: &[PageNum]) -> ByteSize {
-        pages.iter().map(|&p| self.compressed_size(p)).sum()
-    }
-
-    /// Raw (uncompressed) size of a set of pages.
-    pub fn raw_size_of(&self, pages: &[PageNum]) -> ByteSize {
-        ByteSize::bytes(pages.len() as u64 * PAGE_SIZE)
-    }
-
     /// Synthesizes the actual bytes of a page (tests / deep inspection).
     pub fn synthesize(&self, page: PageNum) -> Vec<u8> {
         self.class_of(page).synthesize(self.seed ^ page.0)
-    }
-
-    /// Mean compressed/raw ratio across the class samples, weighted by the
-    /// mix — the aggregate ratio the statistical level uses.
-    pub fn aggregate_ratio(&self) -> f64 {
-        self.mix.aggregate_ratio()
     }
 }
 
@@ -123,10 +107,11 @@ mod tests {
     fn mix_ratio_reflected_in_sizes() {
         let img = GuestMemoryImage::new(4, PageMix::desktop(), 100_000);
         let pages: Vec<PageNum> = (0..5_000).map(PageNum).collect();
-        let compressed = img.compressed_size_of(&pages).as_bytes() as f64;
-        let raw = img.raw_size_of(&pages).as_bytes() as f64;
+        let compressed: ByteSize = pages.iter().map(|&p| img.compressed_size(p)).sum();
+        let compressed = compressed.as_bytes() as f64;
+        let raw = (pages.len() as u64 * PAGE_SIZE) as f64;
         let ratio = compressed / raw;
-        let expected = img.aggregate_ratio();
+        let expected = PageMix::desktop().aggregate_ratio();
         assert!((ratio - expected).abs() < 0.1, "ratio {ratio} vs {expected}");
     }
 

@@ -32,10 +32,6 @@ pub struct MemtapStats {
     pub raw_bytes: ByteSize,
 }
 
-/// Encryption throughput of the secure record layer, bytes per second
-/// (ChaCha20-Poly1305 in software on Atom-class hardware).
-const CRYPTO_BYTES_PER_SEC: f64 = 600.0 * 1024.0 * 1024.0;
-
 /// The memtap process of one partial VM.
 #[derive(Clone, Debug)]
 pub struct Memtap {
@@ -44,8 +40,6 @@ pub struct Memtap {
     link: LinkSpec,
     /// Memory-server drive read + daemon latency per request.
     service_time: SimDuration,
-    /// Whether transfers run over the §4.3 TLS-style secure channel.
-    secured: bool,
     stats: MemtapStats,
 }
 
@@ -54,19 +48,7 @@ impl Memtap {
     /// memory server holding the VM's pages (modeled as a link spec plus
     /// per-request service time).
     pub fn new(vm: VmId, link: LinkSpec, service_time: SimDuration) -> Self {
-        Memtap { vm, link, service_time, secured: false, stats: MemtapStats::default() }
-    }
-
-    /// Creates a memtap whose transfers run over a secure channel
-    /// (§4.3 Security): every record carries a 24-byte sequence + tag
-    /// overhead and pays AEAD processing on both ends.
-    pub fn new_secured(vm: VmId, link: LinkSpec, service_time: SimDuration) -> Self {
-        Memtap { vm, link, service_time, secured: true, stats: MemtapStats::default() }
-    }
-
-    /// `true` when the §4.3 secure channel is in use.
-    pub fn is_secured(&self) -> bool {
-        self.secured
+        Memtap { vm, link, service_time, stats: MemtapStats::default() }
     }
 
     /// The VM this memtap serves.
@@ -92,17 +74,11 @@ impl Memtap {
     /// Latency of a single fault without recording it.
     pub fn fault_latency(&self, compressed: ByteSize) -> SimDuration {
         let request_rtt = self.link.latency * 2;
-        let mut payload = compressed.as_bytes() as f64;
-        let mut crypto = SimDuration::ZERO;
-        if self.secured {
-            payload += oasis_net::secure::SecureChannel::record_overhead() as f64;
-            // Seal at the server, open at the client.
-            crypto = SimDuration::from_secs_f64(2.0 * payload / CRYPTO_BYTES_PER_SEC);
-        }
+        let payload = compressed.as_bytes() as f64;
         let wire = SimDuration::from_secs_f64(payload / self.link.bandwidth);
         let decompress =
             SimDuration::from_secs_f64(oasis_mem::PAGE_SIZE as f64 / DECOMPRESS_BYTES_PER_SEC);
-        FAULT_OVERHEAD + request_rtt + self.service_time + wire + decompress + crypto
+        FAULT_OVERHEAD + request_rtt + self.service_time + wire + decompress
     }
 
     /// Latency to fault in `n` pages of mean compressed size `mean`,
@@ -154,21 +130,6 @@ mod tests {
         let one = mt.fault_latency(ByteSize::bytes(1_500)).as_secs_f64();
         let thousand = mt.serial_fetch_latency(1_000, ByteSize::bytes(1_500)).as_secs_f64();
         assert!((thousand - 1_000.0 * one).abs() < 0.01);
-    }
-
-    #[test]
-    fn secured_memtap_pays_modest_overhead() {
-        let plain = memtap();
-        let secured = Memtap::new_secured(
-            VmId(1),
-            LinkSpec::gige(),
-            MemoryServerProfile::prototype().page_service_time,
-        );
-        assert!(secured.is_secured());
-        let a = plain.fault_latency(ByteSize::bytes(2_000)).as_secs_f64();
-        let b = secured.fault_latency(ByteSize::bytes(2_000)).as_secs_f64();
-        assert!(b > a, "security is not free");
-        assert!(b < a * 1.05, "overhead must stay under 5%: {a} vs {b}");
     }
 
     #[test]

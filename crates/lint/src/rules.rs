@@ -83,7 +83,7 @@ pub const RULES: [Rule; 12] = [
     Rule {
         id: "panic-hygiene",
         summary: "no unwrap/expect/panic in non-test code of the fault/fetch hot path \
-                  (crates/host, net handshake)",
+                  (crates/host)",
     },
     Rule {
         id: "unit-safety",
@@ -195,7 +195,7 @@ fn foreign_rng_scope(path: &str) -> bool {
 }
 
 fn panic_hygiene_scope(path: &str) -> bool {
-    path.starts_with("crates/host/src/") || path == "crates/net/src/secure/handshake.rs"
+    path.starts_with("crates/host/src/")
 }
 
 fn unit_safety_scope(path: &str) -> bool {

@@ -93,8 +93,24 @@ fn panic_hygiene_is_scoped_to_the_hot_path() {
     // The same code outside the fault/fetch hot path is not flagged.
     assert!(lint_at("crates/power/src/acpi.rs", src).is_empty());
     assert!(lint_at("crates/telemetry/src/metrics.rs", src).is_empty());
-    // The net handshake is part of the hot path.
-    assert!(!lint_at("crates/net/src/secure/handshake.rs", src).is_empty());
+    // Memtap's fault service is part of the hot path.
+    assert!(!lint_at("crates/host/src/memtap.rs", src).is_empty());
+}
+
+#[test]
+fn rule_scopes_name_only_files_and_crates_that_exist() {
+    use oasis_lint::rules::{
+        DECISION_PATH_CRATES, PRINT_EXEMPT_CRATES, RNG_HOME, SIZE_HOME, TAINT_SINK_CRATES,
+        WALL_CLOCK_ALLOWED,
+    };
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for path in WALL_CLOCK_ALLOWED.iter().chain([&RNG_HOME, &SIZE_HOME]) {
+        assert!(root.join(path).is_file(), "scoped file {path} does not exist");
+    }
+    let crates = DECISION_PATH_CRATES.iter().chain(&TAINT_SINK_CRATES).chain(&PRINT_EXEMPT_CRATES);
+    for name in crates {
+        assert!(root.join("crates").join(name).join("src").is_dir(), "no crates/{name}/src");
+    }
 }
 
 #[test]

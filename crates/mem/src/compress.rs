@@ -203,11 +203,6 @@ fn decompress_stream(body: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// Compressed size of `input` without keeping the buffer.
-pub fn compressed_len(input: &[u8]) -> usize {
-    compress(input).len()
-}
-
 /// Content class of a synthetic guest page, ordered from most to least
 /// compressible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -471,7 +466,7 @@ mod tests {
             for seed in 0..16 {
                 let page = class.synthesize(seed);
                 total_in += page.len();
-                total_out += compressed_len(&page);
+                total_out += compress(&page).len();
             }
             let real = total_out as f64 / total_in as f64;
             let assumed = class.typical_ratio();

@@ -1,13 +1,7 @@
-//! Dirty-page logging and dirtying-rate monitoring.
+//! Dirty-page logging.
 //!
-//! Two consumers need dirty information:
-//!
-//! * **Differential upload and reintegration** (§4.2–4.3) need the exact
-//!   set of pages dirtied since an epoch boundary — [`DirtyLog`].
-//! * **Idleness detection** (§3.1) monitors a VM's page-dirtying *rate*
-//!   from the hypervisor — [`DirtyRateMonitor`].
-
-use oasis_sim::{SimDuration, SimTime};
+//! Differential upload and reintegration (§4.2–4.3) need the exact set of
+//! pages dirtied since an epoch boundary — [`DirtyLog`].
 
 use crate::addr::PageNum;
 use crate::bitmap::Bitmap;
@@ -16,13 +10,12 @@ use crate::bitmap::Bitmap;
 #[derive(Clone, Debug)]
 pub struct DirtyLog {
     bits: Bitmap,
-    epoch: u64,
 }
 
 impl DirtyLog {
-    /// Creates a log covering `num_pages` pages, all clean, at epoch 0.
+    /// Creates a log covering `num_pages` pages, all clean.
     pub fn new(num_pages: u64) -> Self {
-        DirtyLog { bits: Bitmap::new(num_pages as usize), epoch: 0 }
+        DirtyLog { bits: Bitmap::new(num_pages as usize) }
     }
 
     /// Records a write to `page`; out-of-range pages are ignored.
@@ -38,86 +31,9 @@ impl DirtyLog {
         self.bits.count_ones() as u64
     }
 
-    /// Current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Closes the epoch: returns the dirtied pages and starts a new epoch.
     pub fn take_epoch(&mut self) -> Vec<PageNum> {
-        self.epoch += 1;
         self.bits.drain_ones().into_iter().map(|i| PageNum(i as u64)).collect()
-    }
-
-    /// `true` if `page` is dirty in the current epoch.
-    pub fn is_dirty(&self, page: PageNum) -> bool {
-        let i = page.0 as usize;
-        i < self.bits.len() && self.bits.get(i)
-    }
-}
-
-/// Sliding-window estimate of a VM's page-dirtying rate.
-///
-/// The cluster manager classifies a VM as idle when its dirtying rate stays
-/// under a threshold for a full observation window (§3.1). The monitor
-/// keeps per-bucket write counts over a ring of fixed-width buckets.
-#[derive(Clone, Debug)]
-pub struct DirtyRateMonitor {
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
-    /// Index of the bucket that currently absorbs samples.
-    head_bucket: u64,
-}
-
-impl DirtyRateMonitor {
-    /// Creates a monitor averaging over `buckets` windows of `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `bucket_width` is zero.
-    pub fn new(bucket_width: SimDuration, buckets: usize) -> Self {
-        assert!(buckets > 0 && !bucket_width.is_zero(), "invalid monitor window");
-        DirtyRateMonitor { bucket_width, buckets: vec![0; buckets], head_bucket: 0 }
-    }
-
-    fn bucket_index_of(&self, now: SimTime) -> u64 {
-        now.as_micros() / self.bucket_width.as_micros()
-    }
-
-    fn rotate_to(&mut self, now: SimTime) {
-        let target = self.bucket_index_of(now);
-        let n = self.buckets.len() as u64;
-        if target <= self.head_bucket {
-            return;
-        }
-        let steps = (target - self.head_bucket).min(n);
-        for s in 1..=steps {
-            let idx = ((self.head_bucket + s) % n) as usize;
-            self.buckets[idx] = 0;
-        }
-        self.head_bucket = target;
-    }
-
-    /// Records `pages` dirtied at `now`.
-    pub fn record(&mut self, now: SimTime, pages: u64) {
-        self.rotate_to(now);
-        let n = self.buckets.len() as u64;
-        let idx = (self.head_bucket % n) as usize;
-        self.buckets[idx] += pages;
-    }
-
-    /// Dirtying rate in pages per second over the window ending at `now`.
-    pub fn rate_per_sec(&mut self, now: SimTime) -> f64 {
-        self.rotate_to(now);
-        let total: u64 = self.buckets.iter().sum();
-        let window = self.bucket_width.as_secs_f64() * self.buckets.len() as f64;
-        total as f64 / window
-    }
-
-    /// Total pages recorded in the current window.
-    pub fn window_total(&mut self, now: SimTime) -> u64 {
-        self.rotate_to(now);
-        self.buckets.iter().sum()
     }
 }
 
@@ -132,11 +48,8 @@ mod tests {
         log.record(PageNum(1));
         log.record(PageNum(50));
         assert_eq!(log.dirty_count(), 2);
-        assert!(log.is_dirty(PageNum(1)));
-        assert!(!log.is_dirty(PageNum(2)));
         let epoch0 = log.take_epoch();
         assert_eq!(epoch0, vec![PageNum(1), PageNum(50)]);
-        assert_eq!(log.epoch(), 1);
         assert_eq!(log.dirty_count(), 0);
         log.record(PageNum(99));
         assert_eq!(log.take_epoch(), vec![PageNum(99)]);
@@ -148,41 +61,6 @@ mod tests {
         log.record(PageNum(10));
         log.record(PageNum(1_000_000));
         assert_eq!(log.dirty_count(), 0);
-        assert!(!log.is_dirty(PageNum(10)));
-    }
-
-    #[test]
-    fn rate_monitor_steady_rate() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(10), 6);
-        // 100 pages every 10 s for a minute = 10 pages/s.
-        for i in 0..6 {
-            m.record(SimTime::from_secs(i * 10 + 1), 100);
-        }
-        let rate = m.rate_per_sec(SimTime::from_secs(59));
-        assert!((rate - 10.0).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn rate_monitor_expires_old_buckets() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(10), 3);
-        m.record(SimTime::from_secs(0), 300);
-        assert_eq!(m.window_total(SimTime::from_secs(5)), 300);
-        // After the full 30 s window passes, the burst ages out.
-        assert_eq!(m.window_total(SimTime::from_secs(40)), 0);
-        assert_eq!(m.rate_per_sec(SimTime::from_secs(40)), 0.0);
-    }
-
-    #[test]
-    fn rate_monitor_long_gap_does_not_overflow() {
-        let mut m = DirtyRateMonitor::new(SimDuration::from_secs(1), 4);
-        m.record(SimTime::from_secs(0), 10);
-        m.record(SimTime::from_secs(1_000_000), 5);
-        assert_eq!(m.window_total(SimTime::from_secs(1_000_000)), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid monitor window")]
-    fn zero_buckets_panics() {
-        DirtyRateMonitor::new(SimDuration::from_secs(1), 0);
+        assert!(log.take_epoch().is_empty());
     }
 }

@@ -19,17 +19,13 @@
 //!   compressibility classes.
 //! * [`wss`] — idle working-set distribution (Jettison's
 //!   165.63 ± 91.38 MiB) and working-set growth tracking.
-//! * [`dedup`] + [`balloon`] — the memory over-commitment machinery of
-//!   assumption 1: copy-on-write page sharing and guest ballooning.
 
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod balloon;
 pub mod bitmap;
 pub mod chunk;
 pub mod compress;
-pub mod dedup;
 pub mod dirty;
 pub mod page_table;
 pub mod size;

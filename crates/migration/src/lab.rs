@@ -122,9 +122,6 @@ pub struct LabOptions {
     /// Fault injection: probability that a memory-server page request
     /// times out and memtap must retry (network loss, daemon hiccup).
     pub serve_error_rate: f64,
-    /// Run all memtap↔memory-server traffic over the §4.3 secure channel
-    /// (certificate handshake + AEAD records).
-    pub secure_channel: bool,
 }
 
 impl Default for LabOptions {
@@ -134,7 +131,6 @@ impl Default for LabOptions {
             differential_upload: true,
             overwrite_obviation: true,
             serve_error_rate: 0.0,
-            secure_channel: false,
         }
     }
 }
@@ -191,11 +187,7 @@ impl MicroLab {
         let image = GuestMemoryImage::desktop(seed);
         home.hypervisor.create_full(vm, image.clone()).expect("fresh hypervisor accepts the VM");
 
-        let memtap = if options.secure_channel {
-            Memtap::new_secured(vm_id, LinkSpec::gige(), ms_profile.page_service_time)
-        } else {
-            Memtap::new(vm_id, LinkSpec::gige(), ms_profile.page_service_time)
-        };
+        let memtap = Memtap::new(vm_id, LinkSpec::gige(), ms_profile.page_service_time);
         let zero_page_cost = ByteSize::bytes(compress(&vec![0u8; PAGE_SIZE as usize]).len() as u64);
 
         MicroLab {
@@ -336,15 +328,8 @@ impl MicroLab {
         self.uploaded_once = true;
 
         let upload_compressed = receipt.compressed + extra_zero_cost;
-        let mut outcome =
+        let outcome =
             PartialMigration::with_upload(upload_compressed).run(ms.profile(), LinkSpec::gige());
-        if self.options.secure_channel {
-            // Session establishment before the memtap can fetch (§4.3).
-            let handshake =
-                oasis_net::secure::SessionBroker::handshake_latency(LinkSpec::gige().latency * 2);
-            outcome.descriptor_time += handshake;
-            outcome.total += handshake;
-        }
 
         // Move the descriptor and create the partial VM at the destination.
         let hosted = self.home.hypervisor.vm(self.vm_id).expect("vm at home");
@@ -616,30 +601,6 @@ mod tests {
         assert!((80.0..150.0).contains(&ratio), "penalty ratio {ratio}");
         let secs = partial.as_secs_f64();
         assert!((130.0..210.0).contains(&secs), "LibreOffice start {secs}");
-    }
-
-    #[test]
-    fn secure_channel_end_to_end() {
-        let mut lab =
-            MicroLab::with_options(1, LabOptions { secure_channel: true, ..LabOptions::default() });
-        lab.prime_os();
-        lab.run_workload(&DesktopWorkload::workload1());
-        lab.idle_wait(SimDuration::from_mins(5));
-        let secured = lab.partial_migrate();
-        let idle = lab.consolidated_idle(SimDuration::from_mins(20));
-        assert!(idle.faults > 1_000, "secured fetches flow normally");
-        let reint = lab.reintegrate();
-        assert!(reint.total.as_secs_f64() < 10.0);
-
-        // Against a plaintext run: slightly slower, same behaviour.
-        let mut plain = MicroLab::new(1);
-        plain.prime_os();
-        plain.run_workload(&DesktopWorkload::workload1());
-        plain.idle_wait(SimDuration::from_mins(5));
-        let base = plain.partial_migrate();
-        assert!(secured.outcome.total > base.outcome.total);
-        let overhead = secured.outcome.total.as_secs_f64() - base.outcome.total.as_secs_f64();
-        assert!(overhead < 0.1, "handshake overhead {overhead}s");
     }
 
     #[test]

@@ -40,11 +40,6 @@ pub struct ReintegrationOutcome {
 }
 
 impl Reintegration {
-    /// A reintegration with the default obviation rate.
-    pub fn with_dirty_pages(dirty_pages: u64) -> Self {
-        Reintegration { dirty_pages, obviated_fraction: DEFAULT_OBVIATED_FRACTION }
-    }
-
     /// Computes the cost over the given network path.
     pub fn run(&self, net: LinkSpec) -> ReintegrationOutcome {
         let frac = self.obviated_fraction.clamp(0.0, 1.0);
@@ -65,7 +60,9 @@ mod tests {
         // §4.4.3: 175.3 MiB of dirty memory transferred; §4.4.2: 3.7 s
         // average reintegration latency. 175.3 MiB sent = dirty minus the
         // obviated quarter → dirty ≈ 233.7 MiB ≈ 59 800 pages.
-        let out = Reintegration::with_dirty_pages(59_800).run(LinkSpec::gige());
+        let out =
+            Reintegration { dirty_pages: 59_800, obviated_fraction: DEFAULT_OBVIATED_FRACTION }
+                .run(LinkSpec::gige());
         let mib = out.network_bytes.as_mib_f64();
         assert!((mib - 175.3).abs() < 2.0, "sent {mib} MiB");
         let secs = out.total.as_secs_f64();
@@ -74,7 +71,8 @@ mod tests {
 
     #[test]
     fn zero_dirty_is_overhead_only() {
-        let out = Reintegration::with_dirty_pages(0).run(LinkSpec::gige());
+        let out = Reintegration { dirty_pages: 0, obviated_fraction: DEFAULT_OBVIATED_FRACTION }
+            .run(LinkSpec::gige());
         assert_eq!(out.network_bytes, ByteSize::ZERO);
         assert_eq!(
             out.total.as_secs_f64(),

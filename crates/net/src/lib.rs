@@ -13,13 +13,10 @@
 //!   one before issuing migration or creation calls).
 //! * [`traffic`] — byte accounting by traffic class, feeding the Figure 10
 //!   transfer-breakdown experiment.
-//! * [`secure`] — the §4.3 transport-security layer: RFC 8439
-//!   ChaCha20-Poly1305 records under a TLS-shaped certificate handshake.
 
 #![warn(missing_docs)]
 
 pub mod link;
-pub mod secure;
 pub mod traffic;
 pub mod wol;
 

@@ -45,17 +45,6 @@ impl TrafficClass {
         !matches!(self, TrafficClass::MemServerUpload)
     }
 
-    /// `true` if the class is part of partial-migration machinery.
-    pub fn is_partial_machinery(self) -> bool {
-        matches!(
-            self,
-            TrafficClass::PartialDescriptor
-                | TrafficClass::DemandFetch
-                | TrafficClass::Reintegration
-                | TrafficClass::MemServerUpload
-        )
-    }
-
     /// This class's position in [`ALL`](TrafficClass::ALL), whose order
     /// matches the enum declaration.
     fn index(self) -> usize {
@@ -112,9 +101,18 @@ impl TrafficAccountant {
         TrafficClass::ALL.iter().filter(|c| c.on_network()).map(|&c| self.total(c)).sum()
     }
 
-    /// Bytes moved by all partial-migration machinery.
+    /// Bytes moved by all partial-migration machinery: descriptors,
+    /// demand fetches, reintegration and memory-server uploads.
     pub fn partial_total(&self) -> ByteSize {
-        TrafficClass::ALL.iter().filter(|c| c.is_partial_machinery()).map(|&c| self.total(c)).sum()
+        [
+            TrafficClass::PartialDescriptor,
+            TrafficClass::DemandFetch,
+            TrafficClass::Reintegration,
+            TrafficClass::MemServerUpload,
+        ]
+        .into_iter()
+        .map(|c| self.total(c))
+        .sum()
     }
 
     /// Grand total across every class.
@@ -165,10 +163,12 @@ mod tests {
 
     #[test]
     fn partial_machinery_classification() {
-        assert!(!TrafficClass::FullMigration.is_partial_machinery());
-        assert!(TrafficClass::DemandFetch.is_partial_machinery());
-        assert!(TrafficClass::Reintegration.is_partial_machinery());
-        assert!(!TrafficClass::Control.is_partial_machinery());
+        let mut t = TrafficAccountant::new();
+        t.record(TrafficClass::FullMigration, ByteSize::gib(4));
+        t.record(TrafficClass::Control, ByteSize::kib(1));
+        t.record(TrafficClass::DemandFetch, ByteSize::mib(57));
+        t.record(TrafficClass::Reintegration, ByteSize::mib(175));
+        assert_eq!(t.partial_total(), ByteSize::mib(57 + 175));
     }
 
     #[test]

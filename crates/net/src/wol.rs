@@ -44,11 +44,6 @@ impl MagicPacket {
         MagicPacket { target }
     }
 
-    /// The target MAC.
-    pub fn target(&self) -> MacAddr {
-        self.target
-    }
-
     /// Serializes the 102-byte payload.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(MAGIC_PACKET_LEN);

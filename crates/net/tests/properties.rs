@@ -113,53 +113,3 @@ fn magic_packet_detects_corruption() {
         assert_ne!(MagicPacket::parse(&bytes), Some(pkt));
     });
 }
-
-mod secure_props {
-    use super::*;
-    use oasis_net::secure::{open, seal};
-
-    fn key(g: &mut Gen) -> [u8; 32] {
-        let mut k = [0u8; 32];
-        for b in &mut k {
-            *b = g.byte();
-        }
-        k
-    }
-
-    fn nonce(g: &mut Gen) -> [u8; 12] {
-        let mut n = [0u8; 12];
-        for b in &mut n {
-            *b = g.byte();
-        }
-        n
-    }
-
-    /// AEAD round trips arbitrary payloads and AAD.
-    #[test]
-    fn aead_round_trips() {
-        run(48, |g: &mut Gen| {
-            let (key, nonce) = (key(g), nonce(g));
-            let aad = g.bytes(64);
-            let plain = g.bytes(2_048);
-            let sealed = seal(&key, &nonce, &aad, &plain);
-            assert_eq!(open(&key, &nonce, &aad, &sealed).unwrap(), plain);
-        });
-    }
-
-    /// Any single-bit flip in the sealed record is detected.
-    #[test]
-    fn aead_detects_bit_flips() {
-        run(48, |g: &mut Gen| {
-            let (key, nonce) = (key(g), nonce(g));
-            let mut plain = g.bytes(256);
-            if plain.is_empty() {
-                plain.push(g.byte());
-            }
-            let bit = g.u64_in(0, 8) as u8;
-            let mut sealed = seal(&key, &nonce, b"aad", &plain);
-            let pos = g.usize_in(0, sealed.len());
-            sealed[pos] ^= 1 << bit;
-            assert!(open(&key, &nonce, b"aad", &sealed).is_err());
-        });
-    }
-}

@@ -10,15 +10,12 @@
 //!   *low-power/sleep*, *in-transit*).
 //! * [`acpi`] — a timed ACPI controller that sequences suspend-to-RAM and
 //!   resume with the measured 3.1 s / 2.3 s latencies.
-//! * [`meter`] — watt-level energy integration producing the joules and
-//!   kilowatt-hours behind the savings percentages of §5.
-//! * [`dvfs`] — the P-state/governor model behind §1's observation that
-//!   CPU scaling alone cannot make servers energy-proportional.
+//! * [`meter`] — watt-level energy integration, the joule/kilowatt-hour
+//!   conversion and the savings fraction behind the percentages of §5.
 
 #![warn(missing_docs)]
 
 pub mod acpi;
-pub mod dvfs;
 pub mod meter;
 pub mod profile;
 pub mod state;

@@ -1,10 +1,11 @@
 //! Energy metering.
 //!
 //! An [`EnergyMeter`] integrates the instantaneous power draw of one
-//! device (host, memory server) over simulated time. The cluster report
-//! sums meters to compute the savings percentages of §5.3, which are
-//! normalized against the energy the home hosts would consume if left
-//! powered for the whole simulation.
+//! device (host, memory server) over simulated time. The cluster
+//! simulator accumulates its own joules per interval and only uses
+//! [`JOULES_PER_KWH`] and [`savings_fraction`] from here: the savings
+//! percentages of §5.3 are normalized against the energy the home hosts
+//! would consume if left powered for the whole simulation.
 
 use oasis_sim::stats::TimeWeighted;
 use oasis_sim::SimTime;

@@ -21,11 +21,6 @@ pub enum PowerState {
 }
 
 impl PowerState {
-    /// `true` while the host can execute VMs.
-    pub fn can_run_vms(self) -> bool {
-        matches!(self, PowerState::Powered)
-    }
-
     /// `true` in either transit direction (§3.1's *in-transit* mode).
     pub fn is_in_transit(self) -> bool {
         matches!(self, PowerState::Suspending | PowerState::Resuming)
@@ -55,9 +50,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(PowerState::Powered.can_run_vms());
-        assert!(!PowerState::Sleeping.can_run_vms());
-        assert!(!PowerState::Suspending.can_run_vms());
         assert!(PowerState::Suspending.is_in_transit());
         assert!(PowerState::Resuming.is_in_transit());
         assert!(!PowerState::Powered.is_in_transit());

@@ -60,11 +60,6 @@ impl WorkerPool {
         WorkerPool::new(jobs)
     }
 
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Applies `f` to every item, fanning the calls across the pool's
     /// workers, and returns the results **in input order**.
     ///
@@ -160,8 +155,9 @@ mod tests {
 
     #[test]
     fn jobs_clamped_to_at_least_one() {
-        assert_eq!(WorkerPool::new(0).jobs(), 1);
-        assert!(WorkerPool::from_env().jobs() >= 1);
+        // A zero-job pool still runs every item (one worker).
+        assert_eq!(WorkerPool::new(0).map(vec![1u32, 2, 3], |i| i + 1), vec![2, 3, 4]);
+        assert_eq!(WorkerPool::from_env().map(vec![5u32], |i| i), vec![5]);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since `earlier`; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -120,11 +115,6 @@ impl SimDuration {
     /// Raw microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / MICROS_PER_SEC
     }
 
     /// Seconds as a float.
@@ -248,8 +238,8 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
-        assert_eq!(SimDuration::from_mins(2).as_secs(), 120);
-        assert_eq!(SimDuration::from_hours(1).as_secs(), 3_600);
+        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
+        assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3_600));
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
     }
 
@@ -278,10 +268,8 @@ mod tests {
         let a = SimTime::from_secs(10);
         let b = SimTime::from_secs(4);
         assert_eq!(a - b, SimDuration::from_secs(6));
-        assert_eq!(a.saturating_since(b).as_secs(), 6);
+        assert_eq!(a.saturating_since(b), SimDuration::from_secs(6));
         assert_eq!(b.saturating_since(a), SimDuration::ZERO);
-        assert_eq!(b.checked_since(a), None);
-        assert_eq!(a.checked_since(b), Some(SimDuration::from_secs(6)));
     }
 
     #[test]
@@ -294,7 +282,7 @@ mod tests {
     #[test]
     fn mul_f64_scales() {
         let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5).as_secs(), 5);
+        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 }

@@ -1,14 +1,14 @@
 //! Structured event tracing, metrics and profiling for the Oasis stack.
 //!
-//! Three pillars, one handle:
+//! Three parts, one handle:
 //!
 //! * **Event bus** — typed, [`SimTime`]-stamped [`Event`]s flow through a
 //!   level filter to any number of [`Subscriber`]s ([`JsonlSink`] for
-//!   files, [`RingSink`] for tests). Events carry no wall-clock data, so
-//!   a fixed-seed run produces a byte-identical stream every time.
-//! * **Metrics registry** — labeled [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s behind lock-cheap handles, exportable as
-//!   Prometheus text or JSON ([`Metrics`]).
+//!   files, [`BufferSink`] for tests and worker handoff). Events carry no
+//!   wall-clock data, so a fixed-seed run produces a byte-identical
+//!   stream every time.
+//! * **Metrics registry** — labeled [`Counter`]s behind lock-cheap
+//!   handles, exportable as Prometheus text or JSON ([`Metrics`]).
 //! * **Profiler** — scope guards ([`ProfileScope`]) that build a call tree
 //!   of simulated and wall-clock time ([`Profiler`]). Wall-clock readings
 //!   stay in the tree, so events, metrics and reports stay deterministic.
@@ -18,16 +18,16 @@
 //! code paths that don't care.
 //!
 //! ```
-//! use oasis_telemetry::{Event, Level, RingSink, Telemetry};
+//! use oasis_telemetry::{BufferSink, Event, Level, Telemetry};
 //! use oasis_sim::SimTime;
 //!
 //! let tel = Telemetry::new(Level::Info);
-//! let ring = RingSink::new(16);
-//! tel.attach(Box::new(ring.clone()));
+//! let buf = BufferSink::new();
+//! tel.attach(Box::new(buf.clone()));
 //!
 //! tel.advance_to(SimTime::from_secs(60));
 //! tel.emit(Event::HostSuspended { host: 3 });
-//! assert_eq!(ring.snapshot()[0].event, Event::HostSuspended { host: 3 });
+//! assert_eq!(buf.drain()[0].event, Event::HostSuspended { host: 3 });
 //! ```
 
 #![warn(missing_docs)]
@@ -43,11 +43,12 @@ pub use attribution::{EnergyLedger, HostEnergy, QuiescenceLedger, VmEnergy};
 pub use event::{
     DecisionClass, Event, EventRecord, FaultClass, Level, MigrationKind, RecoveryKind, CLUSTER_WIDE,
 };
-pub use metrics::{Counter, Gauge, Histogram, Metrics};
+pub use metrics::{Counter, Metrics};
 pub use profile::{FoldedMetric, ProfileNode, ProfileScope, ProfileTree, Profiler};
-pub use subscriber::{BufferSink, JsonlSink, RingSink, Subscriber};
+pub use subscriber::{BufferSink, JsonlSink, Subscriber};
 
 use oasis_sim::SimTime;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -116,11 +117,6 @@ impl Telemetry {
     /// True unless the filter level is [`Level::Off`].
     pub fn is_enabled(&self) -> bool {
         self.inner.level != Level::Off
-    }
-
-    /// The configured filter level.
-    pub fn level(&self) -> Level {
-        self.inner.level
     }
 
     /// Registers a subscriber; it receives every event that passes the
@@ -197,11 +193,17 @@ impl Telemetry {
         self.inner.decision_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Flushes every subscriber (e.g. buffered file sinks).
-    pub fn flush(&self) {
+    /// Flushes every subscriber (e.g. buffered file sinks) and returns
+    /// the first write error any of them reports.
+    pub fn flush(&self) -> io::Result<()> {
+        let mut result = Ok(());
         for sub in self.inner.subscribers.lock().unwrap().iter_mut() {
-            sub.flush();
+            let flushed = sub.flush();
+            if result.is_ok() {
+                result = flushed;
+            }
         }
+        result
     }
 
     /// Snapshot of event counts, for attaching to simulation reports.
@@ -227,7 +229,7 @@ impl Telemetry {
 impl Drop for Inner {
     fn drop(&mut self) {
         for sub in self.subscribers.get_mut().unwrap().iter_mut() {
-            sub.flush();
+            let _ = sub.flush();
         }
     }
 }
@@ -258,22 +260,22 @@ mod tests {
     #[test]
     fn disabled_bus_drops_everything() {
         let tel = Telemetry::disabled();
-        let ring = RingSink::new(8);
-        tel.attach(Box::new(ring.clone()));
+        let buf = BufferSink::new();
+        tel.attach(Box::new(buf.clone()));
         tel.emit(Event::HostSuspended { host: 1 });
-        assert!(ring.is_empty());
+        assert!(buf.is_empty());
         assert_eq!(tel.summary().events_total, 0);
     }
 
     #[test]
     fn level_filter_applies_per_event() {
         let tel = Telemetry::new(Level::Info);
-        let ring = RingSink::new(8);
-        tel.attach(Box::new(ring.clone()));
+        let buf = BufferSink::new();
+        tel.attach(Box::new(buf.clone()));
         tel.emit(Event::HostSuspended { host: 1 }); // info: passes
         tel.emit(Event::PageFaultFetched { vm: 1, page: 2 }); // debug: dropped
         tel.emit(Event::WolRetry { host: 1, attempt: 1 }); // warn: passes
-        assert_eq!(ring.len(), 2);
+        assert_eq!(buf.len(), 2);
         let summary = tel.summary();
         assert_eq!(summary.events_total, 2);
         assert!(summary.events_by_kind.iter().any(|(k, n)| k == "wol_retry" && *n == 1));
@@ -282,12 +284,12 @@ mod tests {
     #[test]
     fn sequence_numbers_and_clock_are_monotonic() {
         let tel = Telemetry::new(Level::Debug);
-        let ring = RingSink::new(8);
-        tel.attach(Box::new(ring.clone()));
+        let buf = BufferSink::new();
+        tel.attach(Box::new(buf.clone()));
         tel.emit_at(SimTime::from_secs(5), Event::HostSuspended { host: 1 });
         tel.emit(Event::HostResumed { host: 1 });
         tel.emit_at(SimTime::from_secs(2), Event::HostSuspended { host: 2 });
-        let snap = ring.snapshot();
+        let snap = buf.drain();
         assert_eq!(snap.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
         // The logical clock never runs backwards.
         assert_eq!(snap[1].time, SimTime::from_secs(5));

@@ -107,11 +107,6 @@ impl Profiler {
         }
     }
 
-    /// True when scopes are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Opens a scope named `name` under the currently live scope and
     /// returns its node index.
     fn enter(&self, name: &'static str) -> Option<usize> {
@@ -476,7 +471,6 @@ mod tests {
         {
             let _scope = tel.profile("anything");
         }
-        assert!(!tel.profiler().is_enabled());
         assert!(tel.profiler().snapshot().is_empty());
     }
 

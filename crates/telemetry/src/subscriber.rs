@@ -1,14 +1,12 @@
 //! Event sinks.
 //!
 //! A [`Subscriber`] receives every [`EventRecord`] that passes the bus's
-//! level filter. Three implementations ship with the crate: a JSONL file
-//! writer for offline analysis, a bounded in-memory ring for tests and
-//! post-mortem inspection, and an unbounded buffer ([`BufferSink`]) that
-//! parallel workers use to hand their event streams back to the
-//! collecting thread in deterministic order.
+//! level filter. Two implementations ship with the crate: a JSONL file
+//! writer for offline analysis, and an in-memory buffer ([`BufferSink`])
+//! that tests read and that parallel workers use to hand their event
+//! streams back to the collecting thread in deterministic order.
 
 use crate::event::EventRecord;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -20,15 +18,19 @@ pub trait Subscriber: Send {
     fn record(&mut self, rec: &EventRecord);
 
     /// Flushes any buffered output; called when the bus is flushed or the
-    /// owning `Telemetry` handle is dropped.
-    fn flush(&mut self) {}
+    /// owning `Telemetry` handle is dropped. Reports any write error the
+    /// sink has met so far.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Writes one JSON object per line to an arbitrary writer.
 pub struct JsonlSink<W: Write + Send> {
     writer: W,
-    /// Set when a write fails, so later writes stop spamming errors.
-    failed: bool,
+    /// The first write error. Later records are dropped, and every flush
+    /// reports it.
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -49,83 +51,31 @@ impl JsonlSink<BufWriter<File>> {
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps an existing writer.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, failed: false }
+        JsonlSink { writer, error: None }
     }
 }
 
 impl<W: Write + Send> Subscriber for JsonlSink<W> {
     fn record(&mut self, rec: &EventRecord) {
-        if self.failed {
+        if self.error.is_some() {
             return;
         }
         let line = rec.to_json();
-        if writeln!(self.writer, "{line}").is_err() {
-            self.failed = true;
+        if let Err(e) = writeln!(self.writer, "{line}") {
+            self.error = Some(e);
         }
     }
 
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-/// A bounded ring of the most recent events.
-///
-/// The sink half (registered with the bus) and any number of reader
-/// handles share the same buffer, so tests can attach a ring, run a
-/// simulation and inspect what was emitted.
-#[derive(Clone)]
-pub struct RingSink {
-    buf: Arc<Mutex<RingBuf>>,
-}
-
-struct RingBuf {
-    cap: usize,
-    items: VecDeque<EventRecord>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `cap` records (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            buf: Arc::new(Mutex::new(RingBuf {
-                cap: cap.max(1),
-                items: VecDeque::new(),
-                dropped: 0,
-            })),
+    fn flush(&mut self) -> io::Result<()> {
+        if self.error.is_none() {
+            if let Err(e) = self.writer.flush() {
+                self.error = Some(e);
+            }
         }
-    }
-
-    /// Copies out the buffered records, oldest first.
-    pub fn snapshot(&self) -> Vec<EventRecord> {
-        self.buf.lock().unwrap().items.iter().cloned().collect()
-    }
-
-    /// Number of records currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().items.len()
-    }
-
-    /// True when nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.buf.lock().unwrap().dropped
-    }
-}
-
-impl Subscriber for RingSink {
-    fn record(&mut self, rec: &EventRecord) {
-        let mut buf = self.buf.lock().unwrap();
-        if buf.items.len() == buf.cap {
-            buf.items.pop_front();
-            buf.dropped += 1;
+        match &self.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
         }
-        buf.items.push_back(rec.clone());
     }
 }
 
@@ -140,9 +90,10 @@ impl Subscriber for RingSink {
 /// [`replays`](BufferSink::replay_into) the buffers into the shared sink
 /// one after another, reproducing the sequential stream exactly.
 ///
-/// Like [`RingSink`], the registered sink half and any reader handles
-/// share the same storage, and the handle is `Send + Sync` so it can
-/// cross the worker-pool boundary.
+/// The registered sink half and any reader handles share the same
+/// storage, so a test can attach a buffer, run a simulation and drain
+/// what was emitted. The handle is `Send + Sync` so it can cross the
+/// worker-pool boundary.
 #[derive(Clone, Default)]
 pub struct BufferSink {
     buf: Arc<Mutex<Vec<EventRecord>>>,
@@ -199,20 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest() {
-        let ring = RingSink::new(3);
-        let mut sink = ring.clone();
-        for seq in 0..5 {
-            sink.record(&rec(seq));
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].seq, 2);
-        assert_eq!(snap[2].seq, 4);
-        assert_eq!(ring.dropped(), 2);
-    }
-
-    #[test]
     fn buffer_replay_reconstructs_the_sequential_stream() {
         // Two "workers" capture into private buffers; replaying them in
         // input order through one JSONL sink yields the same bytes as a
@@ -250,11 +187,32 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(&rec(0));
         sink.record(&rec(1));
-        sink.flush();
+        sink.flush().unwrap();
         let text = String::from_utf8(sink.writer).unwrap();
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
             crate::json::parse(line).expect("each line is valid JSON");
+        }
+    }
+
+    #[test]
+    fn jsonl_flush_reports_the_first_write_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = JsonlSink::new(Full);
+        sink.record(&rec(0));
+        sink.record(&rec(1));
+        for _ in 0..2 {
+            let err = sink.flush().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+            assert_eq!(err.to_string(), "disk full");
         }
     }
 }

@@ -47,7 +47,7 @@ fn jsonl_stream_parses_back_with_ordered_fields() {
         decision: 4,
     });
     tel.emit(Event::Note { text: "quote \" backslash \\ newline \n done".into() });
-    tel.flush();
+    tel.flush().unwrap();
 
     let text = buf.take_string();
     let lines: Vec<&str> = text.lines().collect();
@@ -84,11 +84,6 @@ fn populated_registry() -> Metrics {
     m.counter("migration_bytes_total", &[("kind", "partial")]).add(1_234);
     m.counter("migration_bytes_total", &[("kind", "full")]).add(999);
     m.counter("wol_packets_total", &[]).add(7);
-    m.gauge("hosts_powered", &[]).set(31);
-    let h = m.histogram("plan_wall_ns", &[("scope", "plan")]);
-    for v in [3u64, 100, 100_000] {
-        h.record(v);
-    }
     m
 }
 
@@ -114,19 +109,8 @@ fn json_export_round_trips_through_parser() {
     assert_eq!(find("migration_bytes_total", Some(("kind", "full"))), 999.0);
     assert_eq!(find("wol_packets_total", None), 7.0);
 
-    let gauges = doc.get("gauges").and_then(Value::as_arr).expect("gauges array");
-    assert_eq!(gauges.len(), 1);
-    assert_eq!(gauges[0].get("value").and_then(Value::as_f64), Some(31.0));
-
-    let hists = doc.get("histograms").and_then(Value::as_arr).expect("histograms array");
-    assert_eq!(hists.len(), 1);
-    let h = &hists[0];
-    assert_eq!(h.get("count").and_then(Value::as_f64), Some(3.0));
-    assert_eq!(h.get("sum").and_then(Value::as_f64), Some(100_103.0));
-    let buckets = h.get("buckets").and_then(Value::as_arr).expect("buckets");
-    assert_eq!(buckets.len(), 3, "one sparse bucket per recorded magnitude");
-    let total: f64 = buckets.iter().filter_map(|b| b.get("count").and_then(Value::as_f64)).sum();
-    assert_eq!(total, 3.0);
+    assert_eq!(counters.len(), 3);
+    assert_eq!(doc.as_obj().map(|o| o.len()), Some(1), "counters are the only array");
 }
 
 #[test]
@@ -152,16 +136,10 @@ fn prometheus_export_is_parseable_and_consistent() {
         }
         samples += 1;
     }
-    assert!(samples >= 8, "counters + gauge + histogram series, got {samples}");
+    assert_eq!(samples, 3, "one sample per counter series");
 
     assert!(text.contains("migration_bytes_total{kind=\"partial\"} 1234"));
     assert!(text.contains("wol_packets_total 7"));
-    assert!(text.contains("hosts_powered 31"));
-    // Histogram: cumulative buckets end at the total count, and the sum
-    // and count lines agree with the recorded data.
-    assert!(text.contains("plan_wall_ns_bucket{le=\"+Inf\",scope=\"plan\"} 3"));
-    assert!(text.contains("plan_wall_ns_sum{scope=\"plan\"} 100103"));
-    assert!(text.contains("plan_wall_ns_count{scope=\"plan\"} 3"));
 
     // The exposition is deterministic.
     assert_eq!(text, populated_registry().to_prometheus());

@@ -138,11 +138,6 @@ impl Vm {
         self.resident_wss = (self.resident_wss + delta).min(self.allocation);
         self.resident_wss - before
     }
-
-    /// `true` when running as a partial VM.
-    pub fn is_partial(&self) -> bool {
-        self.residency == Residency::Partial
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +152,7 @@ mod tests {
     fn new_vm_is_full_and_active() {
         let v = vm();
         assert!(v.state.is_active());
-        assert!(!v.is_partial());
+        assert_eq!(v.residency, Residency::Full);
         assert_eq!(v.memory_demand(), ByteSize::gib(4));
     }
 
@@ -165,7 +160,7 @@ mod tests {
     fn partial_demands_only_wss() {
         let mut v = vm();
         v.make_partial(ByteSize::mib(160));
-        assert!(v.is_partial());
+        assert_eq!(v.residency, Residency::Partial);
         assert_eq!(v.memory_demand(), ByteSize::mib(160));
         v.make_full();
         assert_eq!(v.memory_demand(), ByteSize::gib(4));

@@ -8,10 +8,10 @@
 //! * [`sim`] — deterministic discrete-event engine, RNG and statistics.
 //! * [`telemetry`] — structured event tracing, metrics registry and span
 //!   timing across the whole stack.
-//! * [`power`] — power states, ACPI S3 transitions, energy metering.
+//! * [`power`] — power states, ACPI S3 transitions, energy units.
 //! * [`mem`] — guest memory: page tables, dirty tracking, compression,
 //!   working-set models.
-//! * [`net`] — links, fair-share transfers, SAS channel, Wake-on-LAN.
+//! * [`net`] — links, SAS channel, Wake-on-LAN, traffic accounting.
 //! * [`faults`] — deterministic fault-injection schedules and the shared
 //!   retry/backoff machinery behind every recovery path.
 //! * [`trace`] — VDI user-activity traces and the synthetic activity model.
