@@ -31,6 +31,16 @@ pub enum ConfigError {
         /// Number of hosts in the cluster.
         hosts: u32,
     },
+    /// A host-scoped fault names a host outside the cluster.
+    FaultOutOfRange {
+        /// The offending host index.
+        host: u32,
+        /// Number of hosts in the cluster.
+        hosts: u32,
+    },
+    /// The memory server's active draw is not a finite, non-negative
+    /// wattage.
+    BadMemserverWatts(f64),
 }
 
 impl core::fmt::Display for ConfigError {
@@ -44,6 +54,12 @@ impl core::fmt::Display for ConfigError {
             ConfigError::ZeroInterval => write!(f, "planning interval must be positive"),
             ConfigError::RebootOutOfRange { host, hosts } => {
                 write!(f, "reboot schedule names host {host} but the cluster has {hosts}")
+            }
+            ConfigError::FaultOutOfRange { host, hosts } => {
+                write!(f, "fault schedule names host {host} but the cluster has {hosts}")
+            }
+            ConfigError::BadMemserverWatts(w) => {
+                write!(f, "memory-server draw must be finite and non-negative, got {w} W")
             }
         }
     }
@@ -398,6 +414,13 @@ impl ClusterConfigBuilder {
         if let Some(r) = c.reboots.reboots().iter().find(|r| r.host >= hosts) {
             return Err(ConfigError::RebootOutOfRange { host: r.host, hosts });
         }
+        if let Some(host) = c.faults.faults().iter().filter_map(|f| f.host).find(|&h| h >= hosts) {
+            return Err(ConfigError::FaultOutOfRange { host, hosts });
+        }
+        let watts = c.memserver.active_watts;
+        if !watts.is_finite() || watts < 0.0 {
+            return Err(ConfigError::BadMemserverWatts(watts));
+        }
         Ok(c)
     }
 }
@@ -493,6 +516,8 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_faults::{Fault, FaultClass};
+    use oasis_sim::SimTime;
 
     #[test]
     fn defaults_match_section_5_1() {
@@ -545,5 +570,45 @@ mod tests {
             .host_memory(ByteSize::gib(256))
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn memserver_watts_must_be_finite_and_non_negative() {
+        for watts in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1000.0] {
+            let built = ClusterConfig::builder()
+                .memserver(MemoryServerProfile::with_budget_watts(watts))
+                .build();
+            assert!(matches!(built, Err(ConfigError::BadMemserverWatts(_))), "{watts} W");
+        }
+        for watts in [0.0, 1.0, 42.2] {
+            let built = ClusterConfig::builder()
+                .memserver(MemoryServerProfile::with_budget_watts(watts))
+                .build();
+            assert!(built.is_ok(), "{watts} W");
+        }
+    }
+
+    #[test]
+    fn fault_host_must_be_in_range() {
+        let fault = |host| {
+            FaultSchedule::new(vec![Fault {
+                kind: FaultClass::MemServerCrash,
+                host,
+                start: SimTime::from_secs(10),
+                duration: SimDuration::from_secs(10),
+                severity: 0.0,
+            }])
+        };
+        // 30 home + 4 consolidation hosts: indices 0..34.
+        assert_eq!(
+            ClusterConfig::builder().faults(fault(Some(34))).build(),
+            Err(ConfigError::FaultOutOfRange { host: 34, hosts: 34 })
+        );
+        assert_eq!(
+            ClusterConfig::builder().faults(fault(Some(99_999))).build(),
+            Err(ConfigError::FaultOutOfRange { host: 99_999, hosts: 34 })
+        );
+        assert!(ClusterConfig::builder().faults(fault(Some(33))).build().is_ok());
+        assert!(ClusterConfig::builder().faults(fault(None)).build().is_ok(), "cluster-wide");
     }
 }

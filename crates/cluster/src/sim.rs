@@ -2343,7 +2343,7 @@ mod tests {
         let view = sim.snapshot(SimTime::ZERO);
         assert_eq!(view.hosts.len(), 3);
         assert_eq!(view.vms.len(), 6);
-        assert_eq!(view.powered_hosts(), 2, "consolidation host sleeps");
+        assert_eq!(view.hosts.iter().filter(|h| h.powered).count(), 2, "consolidation host sleeps");
         for vm in &view.vms {
             assert_eq!(vm.home, vm.location);
             assert!(!vm.partial);

@@ -6,7 +6,9 @@
 //! active VMs), **where** to migrate (greedy vacate queue sorted by memory
 //! demand, random viable destination), and **when hosts sleep** (a compute
 //! host sleeps once all its VMs are gone; consolidation hosts sleep by
-//! default and wake only to accommodate incoming VMs).
+//! default and wake only to accommodate incoming VMs). The planner makes
+//! the first three; the cluster simulator applies the sleep rule to the
+//! hosts its plans empty.
 //!
 //! * [`view`] — immutable cluster snapshots the planner works over.
 //! * [`policy`] — the policy family of §3.2 (`OnlyPartial`, `Default`,
@@ -16,7 +18,6 @@
 //! * [`manager`] — the cluster manager façade that ties them together.
 //! * [`rebalance`] — inter-rack capacity rebalancing for the
 //!   datacenter tier's epoch-barrier planner.
-//! * [`rpc`] — the client-facing RPC interface of §4.1.
 
 #![warn(missing_docs)]
 
@@ -24,7 +25,6 @@ pub mod manager;
 pub mod placement;
 pub mod policy;
 pub mod rebalance;
-pub mod rpc;
 pub mod view;
 
 pub use manager::ClusterManager;

@@ -1,21 +1,19 @@
 //! The cluster manager façade (§4.1).
 //!
-//! The manager owns VM creation, migration planning and host power-mode
-//! decisions. It exposes the RPC-shaped operations the prototype's clients
-//! and agents use: create a VM from a configuration file, plan an interval
-//! of consolidations, and react to partial-VM activations.
+//! The manager plans each interval's consolidations and reacts to
+//! partial-VM activations; the cluster simulator executes what it
+//! returns and puts emptied hosts to sleep.
 
-use oasis_mem::ByteSize;
-use oasis_sim::{SimDuration, SimRng, SimTime};
+use oasis_sim::{SimDuration, SimRng};
 use oasis_telemetry::metrics::Counter;
 use oasis_telemetry::Telemetry;
-use oasis_vm::{HostId, VmId};
+use oasis_vm::VmId;
 
 use oasis_telemetry::{DecisionClass, Event};
 
 use crate::placement::{on_partial_activated, plan_consolidation, PlannerConfig};
 use crate::policy::{ActivationDecision, PlannedAction, PolicyKind};
-use crate::view::{ClusterView, HostRole, ResidencyIndex};
+use crate::view::{ClusterView, ResidencyIndex};
 
 /// Manager configuration.
 #[derive(Clone, Copy, Debug)]
@@ -123,13 +121,6 @@ impl ClusterManager {
     /// Statistics so far.
     pub fn stats(&self) -> ManagerStats {
         self.stats
-    }
-
-    /// Next planning instant after `now`.
-    pub fn next_planning_time(&self, now: SimTime) -> SimTime {
-        let interval = self.config.interval.as_micros();
-        let next = (now.as_micros() / interval + 1) * interval;
-        SimTime::from_micros(next)
     }
 
     /// Runs one planning round over a snapshot (§3.1 "when to migrate").
@@ -251,66 +242,17 @@ impl ClusterManager {
         }
         decision
     }
-
-    /// Picks a compute host for a newly created VM (§4.1: "identifies a
-    /// host with sufficient resources to accommodate the VM").
-    ///
-    /// Prefers powered compute hosts; if none fits, returns a sleeping
-    /// compute host (the caller wakes it with Wake-on-LAN first).
-    pub fn place_new_vm(&mut self, view: &ClusterView, allocation: ByteSize) -> Option<HostId> {
-        let powered: Vec<HostId> = view
-            .compute_hosts()
-            .filter(|h| h.powered && view.free_on(h.id) >= allocation)
-            .map(|h| h.id)
-            .collect();
-        if let Some(&h) = self.rng.choose(&powered) {
-            return Some(h);
-        }
-        let sleeping: Vec<HostId> = view
-            .compute_hosts()
-            .filter(|h| !h.powered && view.free_on(h.id) >= allocation)
-            .map(|h| h.id)
-            .collect();
-        self.rng.choose(&sleeping).copied()
-    }
-
-    /// Hosts that should transition to sleep: powered hosts with no VMs
-    /// located on them (§3.1 "when to sleep").
-    pub fn hosts_to_sleep(&self, view: &ClusterView) -> Vec<HostId> {
-        view.hosts
-            .iter()
-            .filter(|h| h.powered)
-            .filter(|h| view.vms_on(h.id).next().is_none())
-            // Keep at least the consolidation default: empty consolidation
-            // hosts sleep; empty compute hosts sleep too once vacated.
-            .map(|h| h.id)
-            .collect()
-    }
-
-    /// `true` if the host may sleep per §3.1 (no VMs on it).
-    pub fn may_sleep(&self, view: &ClusterView, host: HostId) -> bool {
-        view.host(host).is_some_and(|h| {
-            let empty = view.vms_on(host).next().is_none();
-            (h.role == HostRole::Compute || h.role == HostRole::Consolidation) && empty
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::testutil::small_cluster;
+    use oasis_mem::ByteSize;
+    use oasis_vm::HostId;
 
     fn manager(policy: PolicyKind) -> ClusterManager {
         ClusterManager::new(ManagerConfig { policy, ..ManagerConfig::default() }, 7)
-    }
-
-    #[test]
-    fn planning_times_align_to_interval() {
-        let m = manager(PolicyKind::Default);
-        assert_eq!(m.next_planning_time(SimTime::ZERO), SimTime::from_secs(300));
-        assert_eq!(m.next_planning_time(SimTime::from_secs(300)), SimTime::from_secs(600));
-        assert_eq!(m.next_planning_time(SimTime::from_secs(301)), SimTime::from_secs(600));
     }
 
     #[test]
@@ -321,55 +263,6 @@ mod tests {
         assert!(!actions.is_empty());
         assert_eq!(m.stats().rounds, 1);
         assert_eq!(m.stats().actions, actions.len() as u64);
-    }
-
-    #[test]
-    fn place_new_vm_prefers_powered_hosts() {
-        let mut m = manager(PolicyKind::Default);
-        let view = small_cluster(3, 1, 2);
-        let host = m.place_new_vm(&view, ByteSize::gib(4)).unwrap();
-        assert!(view.host(host).unwrap().powered);
-        assert_eq!(view.host(host).unwrap().role, HostRole::Compute);
-    }
-
-    #[test]
-    fn place_new_vm_wakes_sleeping_compute_host_when_full() {
-        let mut m = manager(PolicyKind::Default);
-        let mut view = small_cluster(2, 1, 2);
-        // Saturate host 0, put host 1 to sleep with no VMs.
-        view.hosts[0].capacity = ByteSize::gib(8);
-        view.hosts[1].powered = false;
-        view.vms.retain(|v| v.home == HostId(0));
-        let host = m.place_new_vm(&view, ByteSize::gib(4)).unwrap();
-        assert_eq!(host, HostId(1));
-    }
-
-    #[test]
-    fn place_new_vm_fails_when_cluster_full() {
-        let mut m = manager(PolicyKind::Default);
-        let mut view = small_cluster(1, 1, 2);
-        view.hosts[0].capacity = ByteSize::gib(8);
-        assert_eq!(m.place_new_vm(&view, ByteSize::gib(4)), None);
-    }
-
-    #[test]
-    fn hosts_to_sleep_lists_empty_powered_hosts() {
-        let mut m = manager(PolicyKind::Default);
-        let view = small_cluster(2, 1, 2);
-        assert!(m.hosts_to_sleep(&view).is_empty(), "hosts still hold VMs");
-        // Vacate host 1's VMs (move their location to a consolidation host).
-        let mut view2 = view.clone();
-        view2.hosts[2].powered = true;
-        for vm in &mut view2.vms {
-            if vm.home == HostId(1) {
-                vm.location = HostId(2);
-            }
-        }
-        let sleepers = m.hosts_to_sleep(&view2);
-        assert_eq!(sleepers, vec![HostId(1)]);
-        assert!(m.may_sleep(&view2, HostId(1)));
-        assert!(!m.may_sleep(&view2, HostId(0)));
-        let _ = m.plan(&view); // Exercise stats.
     }
 
     #[test]

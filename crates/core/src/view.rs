@@ -156,21 +156,6 @@ impl ClusterView {
     pub fn consolidation_hosts(&self) -> impl Iterator<Item = &HostView> + '_ {
         self.hosts.iter().filter(|h| h.role == HostRole::Consolidation)
     }
-
-    /// Number of powered hosts.
-    pub fn powered_hosts(&self) -> usize {
-        self.hosts.iter().filter(|h| h.powered).count()
-    }
-
-    /// Total resident demand on hosts of `role`, in id order.
-    pub fn role_demand(&self, role: HostRole) -> ByteSize {
-        self.hosts.iter().filter(|h| h.role == role).map(|h| self.demand_on(h.id)).sum()
-    }
-
-    /// Number of powered hosts of `role`.
-    pub fn powered_count(&self, role: HostRole) -> usize {
-        self.hosts.iter().filter(|h| h.role == role && h.powered).count()
-    }
 }
 
 /// Externally maintained residency aggregates the planner can borrow
@@ -291,18 +276,11 @@ mod tests {
         let view = small_cluster(2, 2, 1);
         assert_eq!(view.compute_hosts().count(), 2);
         assert_eq!(view.consolidation_hosts().count(), 2);
-        assert_eq!(view.powered_hosts(), 2, "consolidation hosts sleep by default");
-    }
-
-    #[test]
-    fn role_demand_and_powered_count() {
-        let mut view = small_cluster(2, 1, 2);
-        view.vms[0].location = HostId(2); // One VM consolidated.
-        view.hosts[2].powered = true;
-        assert_eq!(view.role_demand(HostRole::Compute), ByteSize::gib(12));
-        assert_eq!(view.role_demand(HostRole::Consolidation), ByteSize::gib(4));
-        assert_eq!(view.powered_count(HostRole::Compute), 2);
-        assert_eq!(view.powered_count(HostRole::Consolidation), 1);
+        assert!(view.compute_hosts().all(|h| h.powered));
+        assert!(
+            view.consolidation_hosts().all(|h| !h.powered),
+            "consolidation hosts sleep by default"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use oasis_mem::chunk::{ChunkAllocator, CHUNK_SIZE};
+use oasis_mem::chunk::ChunkAllocator;
 use oasis_mem::dirty::DirtyLog;
 use oasis_mem::page_table::{Access, PageTable};
 use oasis_mem::wss::WorkingSetTracker;
@@ -106,16 +106,6 @@ impl Hypervisor {
         }
     }
 
-    /// Number of hosted VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
-    /// Iterates over hosted VM ids.
-    pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms.keys().copied()
-    }
-
     /// Access to a hosted VM.
     pub fn vm(&self, id: VmId) -> Result<&HostedVm, HvError> {
         self.vms.get(&id).ok_or(HvError::UnknownVm(id))
@@ -206,17 +196,6 @@ impl Hypervisor {
         self.telemetry.emit(Event::PageFaultFetched { vm: id.0, page: page.0 });
         Ok(())
     }
-
-    /// Total memory demanded by hosted VMs (full allocation for full VMs,
-    /// resident working set for partial VMs).
-    pub fn memory_demand(&self) -> ByteSize {
-        self.vms.values().map(|h| h.vm.memory_demand()).sum()
-    }
-
-    /// Host memory capacity.
-    pub fn capacity(&self) -> ByteSize {
-        CHUNK_SIZE * self.allocator.total_chunks()
-    }
 }
 
 #[cfg(test)]
@@ -302,18 +281,6 @@ mod tests {
         assert_eq!(hv.install_fetched(VmId(7), PageNum(0), false), Err(HvError::OutOfMemory));
         hv.destroy(VmId(6)).unwrap();
         assert!(hv.install_fetched(VmId(7), PageNum(0), false).is_ok());
-    }
-
-    #[test]
-    fn memory_demand_sums_vm_demands() {
-        let mut hv = Hypervisor::new(ByteSize::gib(1));
-        let (vm1, img1) = small_vm(8);
-        let (mut vm2, img2) = small_vm(9);
-        vm2.make_partial(ByteSize::mib(10));
-        hv.create_full(vm1, img1).unwrap();
-        hv.create_partial(vm2, img2).unwrap();
-        assert_eq!(hv.memory_demand(), ByteSize::mib(74));
-        assert_eq!(hv.vm_count(), 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   host sleeps.
 //! * [`memtap`] — the per-VM fault-servicing process: request, transfer,
 //!   decompress, resume vCPU (§4.2).
-//! * [`agent`] — the dom0 host agent: VM lifecycle, ACPI power operations
-//!   and xenstat-style statistics reporting (§4.2).
+//! * [`agent`] — the dom0 host agent: VM lifecycle and ACPI power
+//!   operations (§4.2).
 //! * [`sleep_sim`] — the event-driven §2 experiment: how much S3 sleep a
 //!   home host gets when it must wake for every page request (Figure 2's
 //!   motivation for the low-power memory server).
@@ -30,7 +30,7 @@ pub mod memserver;
 pub mod memtap;
 pub mod sleep_sim;
 
-pub use agent::{HostAgent, HostStats};
+pub use agent::HostAgent;
 pub use guest::GuestMemoryImage;
 pub use hypervisor::Hypervisor;
 pub use memserver::MemoryServer;

@@ -31,6 +31,6 @@ pub mod precopy;
 pub mod recovery;
 pub mod reintegration;
 
-pub use plan::{MigrationOrder, MigrationPlan, MigrationType};
+pub use plan::{MigrationOrder, MigrationType};
 pub use precopy::{PrecopyConfig, PrecopyOutcome};
 pub use recovery::{with_retries, AttemptOutcome};

@@ -38,80 +38,9 @@ pub struct MigrationOrder {
     pub destination: HostId,
 }
 
-/// A batch of orders produced by one planning round, grouped by the host
-/// that must execute them (the VM's current host).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MigrationPlan {
-    /// `(source host, orders for its agent)` in execution sequence.
-    pub by_source: Vec<(HostId, Vec<MigrationOrder>)>,
-}
-
-impl MigrationPlan {
-    /// An empty plan (no better placement found this interval).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// `true` if the plan moves nothing.
-    pub fn is_empty(&self) -> bool {
-        self.by_source.iter().all(|(_, orders)| orders.is_empty())
-    }
-
-    /// Total number of orders.
-    pub fn len(&self) -> usize {
-        self.by_source.iter().map(|(_, o)| o.len()).sum()
-    }
-
-    /// Adds an order originating at `source`.
-    pub fn push(&mut self, source: HostId, order: MigrationOrder) {
-        if let Some((_, orders)) = self.by_source.iter_mut().find(|(h, _)| *h == source) {
-            orders.push(order);
-        } else {
-            self.by_source.push((source, vec![order]));
-        }
-    }
-
-    /// Iterates over all orders with their sources.
-    pub fn iter(&self) -> impl Iterator<Item = (HostId, MigrationOrder)> + '_ {
-        self.by_source.iter().flat_map(|(h, orders)| orders.iter().map(move |&o| (*h, o)))
-    }
-
-    /// Orders of a specific kind.
-    pub fn count_kind(&self, kind: MigrationType) -> usize {
-        self.iter().filter(|(_, o)| o.kind == kind).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_grouping() {
-        let mut plan = MigrationPlan::empty();
-        assert!(plan.is_empty());
-        let dest = HostId(30);
-        plan.push(
-            HostId(1),
-            MigrationOrder { vm: VmId(1), kind: MigrationType::Partial, destination: dest },
-        );
-        plan.push(
-            HostId(1),
-            MigrationOrder { vm: VmId(2), kind: MigrationType::Full, destination: dest },
-        );
-        plan.push(
-            HostId(2),
-            MigrationOrder { vm: VmId(3), kind: MigrationType::Partial, destination: dest },
-        );
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.by_source.len(), 2);
-        assert_eq!(plan.count_kind(MigrationType::Partial), 2);
-        assert_eq!(plan.count_kind(MigrationType::Full), 1);
-        let all: Vec<_> = plan.iter().collect();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].0, HostId(1));
-    }
 
     #[test]
     fn display_kinds() {

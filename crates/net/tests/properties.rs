@@ -5,9 +5,8 @@
 
 use oasis_mem::ByteSize;
 use oasis_net::wol::MacAddr;
-use oasis_net::{MagicPacket, SharedChannel, TrafficAccountant, TrafficClass};
+use oasis_net::{MagicPacket, TrafficAccountant, TrafficClass};
 use oasis_sim::check::{run, Gen};
-use oasis_sim::SimTime;
 
 fn mac(g: &mut Gen) -> [u8; 6] {
     let mut m = [0u8; 6];
@@ -15,59 +14,6 @@ fn mac(g: &mut Gen) -> [u8; 6] {
         *b = g.byte();
     }
     m
-}
-
-/// Every transfer started on a shared channel eventually finishes,
-/// and total progress never exceeds capacity × time.
-#[test]
-fn shared_channel_conserves_bytes() {
-    run(96, |g: &mut Gen| {
-        let bandwidth = g.f64_in(1.0, 1e9);
-        let transfers = g.vec(1, 40, |g| (g.u64_in(0, 3_600), g.u64_in(1, 1_000_000)));
-        let mut ch = SharedChannel::new(bandwidth);
-        let mut total_bytes = 0u64;
-        let mut latest_start = 0u64;
-        for &(start, bytes) in &transfers {
-            ch.start(SimTime::from_secs(start), ByteSize::bytes(bytes));
-            total_bytes += bytes;
-            latest_start = latest_start.max(start);
-        }
-        // Run long enough for everything to finish.
-        let horizon = latest_start as f64 + total_bytes as f64 / bandwidth + 1.0;
-        ch.advance(SimTime::from_secs(horizon.ceil() as u64 + 1));
-        assert_eq!(ch.take_finished().len(), transfers.len());
-        assert_eq!(ch.in_flight(), 0);
-    });
-}
-
-/// A transfer's completion time is never earlier than its serial
-/// transmission time on an empty link.
-#[test]
-fn completion_not_faster_than_line_rate() {
-    run(96, |g: &mut Gen| {
-        let bandwidth = g.f64_in(1.0, 1e6);
-        let bytes = g.u64_in(1, 10_000_000);
-        let mut ch = SharedChannel::new(bandwidth);
-        ch.start(SimTime::ZERO, ByteSize::bytes(bytes));
-        let done = ch.next_completion().unwrap();
-        let serial = bytes as f64 / bandwidth;
-        assert!(done.as_secs_f64() >= serial - 1e-6);
-    });
-}
-
-/// Aborting returns no more than the original byte count.
-#[test]
-fn abort_bounded() {
-    run(96, |g: &mut Gen| {
-        let bytes = g.u64_in(1, 1_000_000);
-        let when = g.u64_in(0, 100);
-        let mut ch = SharedChannel::new(1_000.0);
-        let id = ch.start(SimTime::ZERO, ByteSize::bytes(bytes));
-        if let Some(rem) = ch.abort(SimTime::from_secs(when), id) {
-            assert!(rem.as_bytes() <= bytes);
-        }
-        assert_eq!(ch.remaining(id), None);
-    });
 }
 
 /// Traffic accounting: grand total equals the sum of class totals,

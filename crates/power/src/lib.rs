@@ -1,4 +1,4 @@
-//! Power states, ACPI S3 transitions and energy metering.
+//! Power states, ACPI S3 transitions and energy units.
 //!
 //! This crate models the energy side of Oasis:
 //!
@@ -10,8 +10,8 @@
 //!   *low-power/sleep*, *in-transit*).
 //! * [`acpi`] — a timed ACPI controller that sequences suspend-to-RAM and
 //!   resume with the measured 3.1 s / 2.3 s latencies.
-//! * [`meter`] — watt-level energy integration, the joule/kilowatt-hour
-//!   conversion and the savings fraction behind the percentages of §5.
+//! * [`meter`] — the joule/kilowatt-hour conversion and the savings
+//!   fraction behind the percentages of §5.
 
 #![warn(missing_docs)]
 
@@ -21,6 +21,5 @@ pub mod profile;
 pub mod state;
 
 pub use acpi::AcpiController;
-pub use meter::EnergyMeter;
 pub use profile::{HostEnergyProfile, MemoryServerProfile};
 pub use state::PowerState;

@@ -7,7 +7,7 @@
 //! * [`rng`] — a seedable, platform-independent random number generator
 //!   ([`rng::SimRng`]) with the distributions the paper's models need.
 //! * [`engine`] — a generic event queue and driver ([`engine::Engine`]).
-//! * [`stats`] — counters, time-weighted averages, histograms, CDFs and
+//! * [`stats`] — counters, time-weighted averages, CDFs and
 //!   time series used to produce every figure and table.
 //! * [`pool`] — a scoped-thread worker pool ([`pool::WorkerPool`]) that
 //!   fans independent seeded runs across cores while keeping results in

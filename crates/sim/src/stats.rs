@@ -6,9 +6,8 @@
 //!   (e.g. powered hosts, watts drawn).
 //! * [`TimeSeries`] — timestamped samples for "X over a simulation day"
 //!   plots.
-//! * [`Histogram`] — fixed-width binning for distribution plots.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Streaming summary statistics (Welford's online algorithm).
 #[derive(Clone, Debug, Default)]
@@ -308,68 +307,6 @@ impl TimeSeries {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with an overflow bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `n` buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo` or `n == 0`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            overflow: 0,
-            underflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// `(bucket_low_edge, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets.iter().enumerate().map(move |(i, &c)| (self.lo + i as f64 * self.width, c))
-    }
-
-    /// Count above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Total number of observations, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow + self.underflow
-    }
-}
-
 /// Convenience: mean ± sample standard deviation across repeated runs.
 ///
 /// Figure 8 plots averages of five runs with error bars; this helper turns
@@ -380,15 +317,6 @@ pub fn mean_and_std(values: &[f64]) -> (f64, f64) {
         s.record(v);
     }
     (s.mean(), s.std_dev())
-}
-
-/// Duration helper: time-weighted fraction of `total` spent in a state.
-pub fn fraction_of(spent: SimDuration, total: SimDuration) -> f64 {
-    if total.is_zero() {
-        0.0
-    } else {
-        spent.as_secs_f64() / total.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -511,34 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(42.0);
-        assert_eq!(h.total(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        for (_, count) in h.buckets() {
-            assert_eq!(count, 1);
-        }
-    }
-
-    #[test]
     fn mean_and_std_helper() {
         let (m, s) = mean_and_std(&[1.0, 2.0, 3.0]);
         assert!((m - 2.0).abs() < 1e-12);
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_of_handles_zero_total() {
-        assert_eq!(fraction_of(SimDuration::from_secs(1), SimDuration::ZERO), 0.0);
-        assert!(
-            (fraction_of(SimDuration::from_secs(1), SimDuration::from_secs(4)) - 0.25).abs()
-                < 1e-12
-        );
     }
 }

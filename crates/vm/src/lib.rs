@@ -2,8 +2,6 @@
 //!
 //! * [`vm`] — VM identity, the active/idle state machine of §3.1, and the
 //!   memory footprint bookkeeping both simulation levels share.
-//! * [`config`] — the VM configuration files of §4.1 (vmid, disk image
-//!   path, memory allocation, vCPUs, device configuration).
 //! * [`workload`] — idle memory-access models per VM class, calibrated to
 //!   Figure 1 (desktop 188.2 MiB, web 37.6 MiB, database 30.6 MiB touched
 //!   per idle hour) and Figure 2 (page-request inter-arrivals of 3.9 min
@@ -17,11 +15,9 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod config;
 pub mod heartbeat;
 pub mod vm;
 pub mod workload;
 
-pub use config::VmConfig;
 pub use vm::{HostId, Vm, VmId, VmState};
 pub use workload::{IdleAccessModel, WorkloadClass};

@@ -103,17 +103,6 @@ impl Vm {
         }
     }
 
-    /// Memory the VM demands from its current host.
-    ///
-    /// A full VM demands its whole allocation (assumption 3); a partial VM
-    /// demands only its resident working set (assumption 4).
-    pub fn memory_demand(&self) -> ByteSize {
-        match self.residency {
-            Residency::Full => self.allocation,
-            Residency::Partial => self.resident_wss,
-        }
-    }
-
     /// Switches to partial residency with the given initial working set.
     ///
     /// The working set is clamped to the allocation.
@@ -153,7 +142,7 @@ mod tests {
         let v = vm();
         assert!(v.state.is_active());
         assert_eq!(v.residency, Residency::Full);
-        assert_eq!(v.memory_demand(), ByteSize::gib(4));
+        assert_eq!(v.resident_wss, ByteSize::gib(4));
     }
 
     #[test]
@@ -161,16 +150,17 @@ mod tests {
         let mut v = vm();
         v.make_partial(ByteSize::mib(160));
         assert_eq!(v.residency, Residency::Partial);
-        assert_eq!(v.memory_demand(), ByteSize::mib(160));
+        assert_eq!(v.resident_wss, ByteSize::mib(160));
         v.make_full();
-        assert_eq!(v.memory_demand(), ByteSize::gib(4));
+        assert_eq!(v.residency, Residency::Full);
+        assert_eq!(v.resident_wss, ByteSize::gib(4));
     }
 
     #[test]
     fn partial_wss_clamped_to_allocation() {
         let mut v = vm();
         v.make_partial(ByteSize::gib(8));
-        assert_eq!(v.memory_demand(), ByteSize::gib(4));
+        assert_eq!(v.resident_wss, ByteSize::gib(4));
     }
 
     #[test]
@@ -178,10 +168,10 @@ mod tests {
         let mut v = vm();
         v.make_partial(ByteSize::mib(100));
         assert_eq!(v.grow_wss(ByteSize::mib(50)), ByteSize::mib(50));
-        assert_eq!(v.memory_demand(), ByteSize::mib(150));
+        assert_eq!(v.resident_wss, ByteSize::mib(150));
         // Growth beyond the allocation clamps.
         let grown = v.grow_wss(ByteSize::gib(8));
-        assert_eq!(v.memory_demand(), ByteSize::gib(4));
+        assert_eq!(v.resident_wss, ByteSize::gib(4));
         assert_eq!(grown, ByteSize::gib(4) - ByteSize::mib(150));
         // Full VMs do not grow.
         v.make_full();

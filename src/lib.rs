@@ -11,7 +11,7 @@
 //! * [`power`] — power states, ACPI S3 transitions, energy units.
 //! * [`mem`] — guest memory: page tables, dirty tracking, compression,
 //!   working-set models.
-//! * [`net`] — links, SAS channel, Wake-on-LAN, traffic accounting.
+//! * [`net`] — link transfer times, Wake-on-LAN, traffic accounting.
 //! * [`faults`] — deterministic fault-injection schedules and the shared
 //!   retry/backoff machinery behind every recovery path.
 //! * [`trace`] — VDI user-activity traces and the synthetic activity model.
