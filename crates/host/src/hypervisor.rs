@@ -9,7 +9,10 @@
 //!
 //! [`Hypervisor`] hosts VMs, routes guest accesses through their page
 //! tables, allocates frames from a [`ChunkAllocator`] on demand, and
-//! tracks dirty state for reintegration.
+//! tracks dirty state for reintegration. Each VM's page state lives in
+//! three dense bitmaps, one fact each: present pages in its
+//! [`PageTable`], unique touches in its [`WorkingSetTracker`], and writes
+//! in its [`DirtyLog`].
 
 use std::collections::BTreeMap;
 
@@ -63,7 +66,7 @@ pub enum GuestAccess {
 pub struct HostedVm {
     /// Control-plane view.
     pub vm: Vm,
-    /// Pseudo-physical page table.
+    /// Pseudo-physical page table (present bits only).
     pub table: PageTable,
     /// Shadow-page-table dirty log (for differential upload and
     /// reintegration).
@@ -185,13 +188,12 @@ impl Hypervisor {
     /// Completes a fault: allocates a frame from the chunk allocator and
     /// installs the fetched page, then replays the access.
     pub fn install_fetched(&mut self, id: VmId, page: PageNum, write: bool) -> Result<(), HvError> {
-        let frame = self.allocator.alloc_frame(id.0).map_err(|_| HvError::OutOfMemory)?;
+        self.allocator.alloc_frame(id.0).map_err(|_| HvError::OutOfMemory)?;
         let hosted = self.vms.get_mut(&id).ok_or(HvError::UnknownVm(id))?;
-        hosted.table.install(page, frame).map_err(|_| HvError::BadPage(id, page))?;
+        hosted.table.install(page).map_err(|_| HvError::BadPage(id, page))?;
         hosted.wss.touch(page);
         if write {
             hosted.dirty.record(page);
-            hosted.table.touch(page, true).map_err(|_| HvError::BadPage(id, page))?;
         }
         self.telemetry.emit(Event::PageFaultFetched { vm: id.0, page: page.0 });
         Ok(())

@@ -19,6 +19,9 @@ use oasis_sim::SimDuration;
 use oasis_telemetry::{Counter, Telemetry};
 use oasis_vm::VmId;
 
+/// Image slot of a page that was never uploaded.
+const NOT_UPLOADED: u32 = 0;
+
 /// Which side currently has the shared SAS drive mounted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriveOwner {
@@ -43,6 +46,10 @@ pub enum MsError {
     DriveBusy,
     /// The serving daemon has crashed and not yet restarted.
     Crashed,
+    /// An upload named a page at or beyond the VM's page count.
+    PageOutOfRange(VmId, PageNum),
+    /// An upload carried a compressed size the image cannot record.
+    PageTooLarge(VmId, PageNum),
 }
 
 impl core::fmt::Display for MsError {
@@ -54,6 +61,8 @@ impl core::fmt::Display for MsError {
             MsError::UnknownPage(id, p) => write!(f, "{id}: {p:?} not in image"),
             MsError::DriveBusy => write!(f, "drive already mounted elsewhere"),
             MsError::Crashed => write!(f, "serving daemon crashed"),
+            MsError::PageOutOfRange(id, p) => write!(f, "{id}: {p:?} beyond the VM's pages"),
+            MsError::PageTooLarge(id, p) => write!(f, "{id}: {p:?} compressed size too large"),
         }
     }
 }
@@ -92,8 +101,9 @@ pub struct MemoryServer {
     /// Fault-injection fuse: the daemon dies right after this many more
     /// successful serves ([`MemoryServer::schedule_crash_after`]).
     crash_fuse: Option<u64>,
-    /// Per-VM image: page → compressed size on disk.
-    images: BTreeMap<VmId, BTreeMap<u64, u32>>,
+    /// Per-VM image, indexed by page: compressed size plus one, or
+    /// [`NOT_UPLOADED`].
+    images: BTreeMap<VmId, Vec<u32>>,
     stats: ServeStats,
     // Serving sits on the guest fault path, so counter handles are cached.
     pages_served: Counter,
@@ -164,34 +174,56 @@ impl MemoryServer {
 
     /// Uploads (writes) pages of a VM's memory image.
     ///
-    /// `pages` carries each page's compressed size. With `differential`
-    /// set, existing entries are overwritten and new ones added without
-    /// rewriting the rest of the image (§4.3's differential upload);
-    /// otherwise the VM's image is replaced wholesale.
+    /// `pages` yields each page's compressed size and is consumed as it
+    /// is written; `num_pages` is the VM's page count, which sizes the
+    /// image. With `differential` set, the listed pages are overwritten
+    /// in place and the rest of the image kept (§4.3's differential
+    /// upload), cut or extended to `num_pages`; otherwise the VM's image
+    /// is replaced wholesale.
+    ///
+    /// A page at or beyond `num_pages` fails with
+    /// [`MsError::PageOutOfRange`], and a size that does not fit a `u32`
+    /// slot with [`MsError::PageTooLarge`]. A failed upload drops the
+    /// VM's image, so later serves of it return [`MsError::UnknownVm`].
     pub fn upload(
         &mut self,
         vm: VmId,
-        pages: &[(PageNum, ByteSize)],
+        num_pages: u64,
+        pages: impl IntoIterator<Item = (PageNum, ByteSize)>,
         differential: bool,
     ) -> Result<UploadReceipt, MsError> {
         if self.drive != DriveOwner::Host {
             return Err(MsError::DriveNotMounted(self.drive));
         }
-        let image = self.images.entry(vm).or_default();
-        if !differential {
-            image.clear();
-        }
+        // Taken out of the map, so an early return drops it.
+        let mut image = match self.images.remove(&vm) {
+            Some(mut image) if differential => {
+                image.resize(num_pages as usize, NOT_UPLOADED);
+                image
+            }
+            _ => vec![NOT_UPLOADED; num_pages as usize],
+        };
+        let mut count = 0u64;
         let mut compressed = ByteSize::ZERO;
-        for &(page, size) in pages {
-            image.insert(page.0, size.as_bytes() as u32);
+        for (page, size) in pages {
+            let slot = usize::try_from(page.0)
+                .ok()
+                .and_then(|i| image.get_mut(i))
+                .ok_or(MsError::PageOutOfRange(vm, page))?;
+            *slot = u32::try_from(size.as_bytes())
+                .ok()
+                .and_then(|s| s.checked_add(1))
+                .ok_or(MsError::PageTooLarge(vm, page))?;
+            count += 1;
             compressed += size;
         }
-        let raw = ByteSize::bytes(pages.len() as u64 * oasis_mem::PAGE_SIZE);
+        self.images.insert(vm, image);
+        let raw = ByteSize::bytes(count * oasis_mem::PAGE_SIZE);
         let duration = SimDuration::from_secs_f64(
             compressed.as_bytes() as f64 / self.profile.upload_bytes_per_sec,
         );
         self.upload_bytes.add(compressed.as_bytes());
-        Ok(UploadReceipt { pages: pages.len() as u64, raw, compressed, duration })
+        Ok(UploadReceipt { pages: count, raw, compressed, duration })
     }
 
     /// Host detaches; the low-power processor attaches and starts the
@@ -270,8 +302,11 @@ impl MemoryServer {
             return Err(MsError::Crashed);
         }
         let image = self.images.get(&vm).ok_or(MsError::UnknownVm(vm))?;
-        let size = image.get(&page.0).copied().ok_or(MsError::UnknownPage(vm, page))?;
-        let size = ByteSize::bytes(u64::from(size));
+        let slot = usize::try_from(page.0).ok().and_then(|i| image.get(i)).copied();
+        let size = match slot {
+            Some(slot) if slot != NOT_UPLOADED => ByteSize::bytes(u64::from(slot - 1)),
+            _ => return Err(MsError::UnknownPage(vm, page)),
+        };
         self.stats.requests += 1;
         self.stats.bytes_sent += size;
         self.pages_served.inc();
@@ -294,8 +329,11 @@ impl MemoryServer {
 mod tests {
     use super::*;
 
-    fn pages(range: core::ops::Range<u64>, size: u64) -> Vec<(PageNum, ByteSize)> {
-        range.map(|i| (PageNum(i), ByteSize::bytes(size))).collect()
+    /// Page count of the test VMs.
+    const VM_PAGES: u64 = 1_024;
+
+    fn pages(range: core::ops::Range<u64>, size: u64) -> impl Iterator<Item = (PageNum, ByteSize)> {
+        range.map(move |i| (PageNum(i), ByteSize::bytes(size)))
     }
 
     fn server() -> MemoryServer {
@@ -305,7 +343,7 @@ mod tests {
     #[test]
     fn upload_then_serve_protocol() {
         let mut ms = server();
-        let receipt = ms.upload(VmId(1), &pages(0..100, 1_500), false).unwrap();
+        let receipt = ms.upload(VmId(1), VM_PAGES, pages(0..100, 1_500), false).unwrap();
         assert_eq!(receipt.pages, 100);
         assert_eq!(receipt.compressed, ByteSize::bytes(150_000));
         assert_eq!(receipt.raw, ByteSize::bytes(409_600));
@@ -319,27 +357,26 @@ mod tests {
     #[test]
     fn upload_requires_drive_at_host() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 1_000), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 1_000), false).unwrap();
         ms.handoff_to_server().unwrap();
         assert!(matches!(
-            ms.upload(VmId(1), &pages(0..10, 1_000), true),
+            ms.upload(VmId(1), VM_PAGES, pages(0..10, 1_000), true),
             Err(MsError::DriveNotMounted(DriveOwner::Server))
         ));
         // Host must wait for handoff back before re-mounting.
         assert_eq!(ms.mount_at_host(), Err(MsError::DriveBusy));
         ms.handoff_to_host().unwrap();
-        assert!(ms.upload(VmId(1), &pages(0..10, 1_000), true).is_ok());
+        assert!(ms.upload(VmId(1), VM_PAGES, pages(0..10, 1_000), true).is_ok());
     }
 
     #[test]
     fn differential_upload_overwrites_in_place() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..100, 1_000), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..100, 1_000), false).unwrap();
         // Differential: 10 dirty pages rewritten, 5 new appended.
         let dirty = pages(0..10, 1_200);
         let new = pages(100..105, 900);
-        let batch: Vec<_> = dirty.into_iter().chain(new).collect();
-        let receipt = ms.upload(VmId(1), &batch, true).unwrap();
+        let receipt = ms.upload(VmId(1), VM_PAGES, dirty.chain(new), true).unwrap();
         assert_eq!(receipt.pages, 15);
         ms.handoff_to_server().unwrap();
         assert_eq!(
@@ -362,8 +399,8 @@ mod tests {
     #[test]
     fn full_upload_replaces_image() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..100, 1_000), false).unwrap();
-        ms.upload(VmId(1), &pages(50..60, 1_000), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..100, 1_000), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(50..60, 1_000), false).unwrap();
         ms.handoff_to_server().unwrap();
         assert_eq!(
             ms.serve_page(VmId(1), PageNum(0)),
@@ -374,18 +411,37 @@ mod tests {
     }
 
     #[test]
+    fn failed_upload_drops_the_image() {
+        let mut ms = server();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
+        assert_eq!(
+            ms.upload(VmId(1), VM_PAGES, pages(VM_PAGES - 1..VM_PAGES + 1, 500), true),
+            Err(MsError::PageOutOfRange(VmId(1), PageNum(VM_PAGES)))
+        );
+        let huge = [(PageNum(3), ByteSize::bytes(u64::from(u32::MAX)))];
+        ms.upload(VmId(2), VM_PAGES, pages(0..10, 500), false).unwrap();
+        assert_eq!(
+            ms.upload(VmId(2), VM_PAGES, huge, true),
+            Err(MsError::PageTooLarge(VmId(2), PageNum(3)))
+        );
+        ms.handoff_to_server().unwrap();
+        assert_eq!(ms.serve_page(VmId(1), PageNum(0)), Err(MsError::UnknownVm(VmId(1))));
+        assert_eq!(ms.serve_page(VmId(2), PageNum(0)), Err(MsError::UnknownVm(VmId(2))));
+    }
+
+    #[test]
     fn upload_duration_matches_sas_bandwidth() {
         let mut ms = server();
         // 1.28 GiB compressed at 128 MiB/s = 10.24 s.
-        let batch: Vec<_> = (0..1_024u64).map(|i| (PageNum(i), ByteSize::mib(1))).collect();
-        let receipt = ms.upload(VmId(1), &batch, false).unwrap();
+        let batch = (0..1_024u64).map(|i| (PageNum(i), ByteSize::mib(1)));
+        let receipt = ms.upload(VmId(1), VM_PAGES, batch, false).unwrap();
         assert!((receipt.duration.as_secs_f64() - 8.0).abs() < 0.01);
     }
 
     #[test]
     fn serve_unknown_vm_and_page() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         assert_eq!(ms.serve_page(VmId(2), PageNum(0)), Err(MsError::UnknownVm(VmId(2))));
         assert_eq!(
@@ -419,7 +475,7 @@ mod tests {
     #[test]
     fn serve_after_crash_errors_until_restart() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(0);
         assert_eq!(ms.serve_page(VmId(1), PageNum(4)), Err(MsError::Crashed));
@@ -436,7 +492,7 @@ mod tests {
     #[test]
     fn crash_fuse_fires_after_exact_serve_count() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(2);
         assert!(ms.serve_page(VmId(1), PageNum(0)).is_ok());
@@ -455,7 +511,7 @@ mod tests {
     #[test]
     fn zero_fuse_crashes_before_answering() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(0);
         assert_eq!(ms.serve_page(VmId(1), PageNum(0)), Err(MsError::Crashed));
@@ -466,7 +522,7 @@ mod tests {
     #[test]
     fn host_reclaims_drive_from_crashed_daemon() {
         let mut ms = server();
-        ms.upload(VmId(1), &pages(0..10, 500), false).unwrap();
+        ms.upload(VmId(1), VM_PAGES, pages(0..10, 500), false).unwrap();
         ms.handoff_to_server().unwrap();
         ms.schedule_crash_after(1);
         ms.serve_page(VmId(1), PageNum(0)).unwrap();

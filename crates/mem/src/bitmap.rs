@@ -1,10 +1,10 @@
 //! A compact fixed-size bitset.
 //!
-//! Page tables track one present/accessed/dirty bit per page; a 4 GiB VM
-//! has over a million pages, so metadata must be dense. This bitmap packs
-//! 64 bits per word and supports fast population counts and iteration over
-//! set bits — the operations dirty-page scans and working-set accounting
-//! rely on.
+//! Page tables, working-set trackers and dirty logs each keep one bit per
+//! page; a 4 GiB VM has over a million pages, so metadata must be dense.
+//! This bitmap packs 64 bits per word and supports fast population counts
+//! and iteration over set bits — the operations dirty-page scans and
+//! working-set accounting rely on.
 
 /// A fixed-size bitset over indices `0..len`.
 #[derive(Clone, Debug, PartialEq, Eq)]

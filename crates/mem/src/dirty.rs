@@ -1,7 +1,12 @@
 //! Dirty-page logging.
 //!
 //! Differential upload and reintegration (§4.2–4.3) need the exact set of
-//! pages dirtied since an epoch boundary — [`DirtyLog`].
+//! pages dirtied since an epoch boundary — [`DirtyLog`], one bit per
+//! guest page. It is the hypervisor's only write record: the page table
+//! keeps no dirty bits. An epoch closes either into a page list
+//! ([`DirtyLog::take_epoch`]) or, without one, straight into a
+//! longer-lived bitmap ([`DirtyLog::drain_into`]), which is how the
+//! micro-lab accumulates its differential-upload set.
 
 use crate::addr::PageNum;
 use crate::bitmap::Bitmap;
@@ -35,6 +40,17 @@ impl DirtyLog {
     pub fn take_epoch(&mut self) -> Vec<PageNum> {
         self.bits.drain_ones().into_iter().map(|i| PageNum(i as u64)).collect()
     }
+
+    /// Closes the epoch into `set`: ORs the dirtied pages into it and
+    /// starts a new epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` does not have one bit per page of this log.
+    pub fn drain_into(&mut self, set: &mut Bitmap) {
+        set.union_with(&self.bits);
+        self.bits.clear_all();
+    }
 }
 
 #[cfg(test)]
@@ -53,6 +69,22 @@ mod tests {
         assert_eq!(log.dirty_count(), 0);
         log.record(PageNum(99));
         assert_eq!(log.take_epoch(), vec![PageNum(99)]);
+    }
+
+    #[test]
+    fn drain_into_accumulates_epochs() {
+        let mut log = DirtyLog::new(100);
+        let mut set = Bitmap::new(100);
+        log.record(PageNum(7));
+        log.record(PageNum(40));
+        log.drain_into(&mut set);
+        assert_eq!(log.dirty_count(), 0);
+        log.record(PageNum(40));
+        log.record(PageNum(2));
+        log.drain_into(&mut set);
+        assert_eq!(set.iter_ones().collect::<Vec<_>>(), vec![2, 7, 40]);
+        assert_eq!(set.count_ones(), 3);
+        assert!(log.take_epoch().is_empty());
     }
 
     #[test]

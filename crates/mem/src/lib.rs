@@ -8,8 +8,8 @@
 //! * [`size`] — byte-size arithmetic and MiB/GiB formatting.
 //! * [`addr`] — page numbers, machine frames and the 4 KiB page geometry.
 //! * [`bitmap`] — compact bitsets backing page-table metadata.
-//! * [`page_table`] — per-VM pseudo-physical page tables with present /
-//!   accessed / dirty bits and absent-entry faulting.
+//! * [`page_table`] — per-VM pseudo-physical page tables: one present bit
+//!   per page, and absent-entry faulting.
 //! * [`dirty`] — epoch-based dirty logging (shadow page table tracking,
 //!   §4.2) for differential upload and reintegration.
 //! * [`chunk`] — the 2 MiB chunk frame allocator the hypervisor uses to
@@ -31,7 +31,7 @@ pub mod page_table;
 pub mod size;
 pub mod wss;
 
-pub use addr::{MachineFrame, PageNum, PAGE_SIZE};
+pub use addr::{PageNum, PAGE_SIZE};
 pub use compress::{compress, decompress};
 pub use page_table::PageTable;
 pub use size::ByteSize;

@@ -7,8 +7,9 @@ use std::collections::BTreeSet;
 
 use oasis_mem::bitmap::Bitmap;
 use oasis_mem::compress::{compress, decompress, PageClass};
+use oasis_mem::dirty::DirtyLog;
 use oasis_mem::page_table::{Access, PageTable};
-use oasis_mem::{ByteSize, MachineFrame, PageNum};
+use oasis_mem::{ByteSize, PageNum};
 use oasis_sim::check::{run, Gen};
 
 /// The codec is lossless for arbitrary byte strings.
@@ -87,37 +88,30 @@ fn bitmap_matches_set_model() {
     });
 }
 
-/// Page-table state machine: a page is present iff installed and not
-/// evicted; faults only on absent pages.
+/// Page-table state machine: a page is present iff installed; faults
+/// only on absent pages.
 #[test]
 fn page_table_state_machine() {
     run(64, |g: &mut Gen| {
         let pages = g.u64_in(1, 2_000);
-        let ops = g.vec(0, 200, |g| (g.u64_in(0, 3) as u8, g.u64_in(0, 2_000)));
+        let ops = g.vec(0, 200, |g| (g.bool(), g.u64_in(0, 2_000)));
         let mut pt = PageTable::new_absent(pages);
         let mut present: BTreeSet<u64> = BTreeSet::new();
-        for (op, raw) in ops {
+        for (touch, raw) in ops {
             let p = PageNum(raw % pages);
-            match op {
-                0 => {
-                    // Touch: hit iff present.
-                    let access = pt.touch(p, false).unwrap();
-                    if present.contains(&p.0) {
-                        assert_eq!(access, Access::Hit);
-                    } else {
-                        assert_eq!(access, Access::Fault);
-                    }
+            if touch {
+                // Touch: hit iff present.
+                let access = pt.touch(p, false).unwrap();
+                if present.contains(&p.0) {
+                    assert_eq!(access, Access::Hit);
+                } else {
+                    assert_eq!(access, Access::Fault);
                 }
-                1 => {
-                    // Install succeeds iff absent.
-                    let r = pt.install(p, MachineFrame(p.0));
-                    assert_eq!(r.is_ok(), !present.contains(&p.0));
-                    present.insert(p.0);
-                }
-                _ => {
-                    pt.evict(p).unwrap();
-                    present.remove(&p.0);
-                }
+            } else {
+                // Install succeeds iff absent.
+                let r = pt.install(p);
+                assert_eq!(r.is_ok(), !present.contains(&p.0));
+                present.insert(p.0);
             }
         }
         assert_eq!(pt.present_count(), present.len() as u64);
@@ -131,22 +125,22 @@ fn dirty_epochs_partition_writes() {
     run(64, |g: &mut Gen| {
         let writes = g.vec(0, 300, |g| g.u64_in(0, 500));
         let epoch_every = g.usize_in(1, 50);
-        let mut pt = PageTable::new_resident(500);
+        let mut log = DirtyLog::new(500);
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         let mut expected: BTreeSet<u64> = BTreeSet::new();
         let mut collected: Vec<u64> = Vec::new();
         for (i, &w) in writes.iter().enumerate() {
-            pt.touch(PageNum(w), true).unwrap();
+            log.record(PageNum(w));
             expected.insert(w);
             if i % epoch_every == 0 {
-                for p in pt.take_dirty() {
+                for p in log.take_epoch() {
                     assert!(seen.insert(p.0), "page in two epochs without rewrite");
                     collected.push(p.0);
                 }
                 seen.clear();
             }
         }
-        for p in pt.take_dirty() {
+        for p in log.take_epoch() {
             collected.push(p.0);
         }
         let got: BTreeSet<u64> = collected.into_iter().collect();

@@ -25,7 +25,9 @@
 use oasis_host::agent::HostAgent;
 use oasis_host::guest::GuestMemoryImage;
 use oasis_host::hypervisor::GuestAccess;
+use oasis_host::memserver::MsError;
 use oasis_host::memtap::Memtap;
+use oasis_mem::bitmap::Bitmap;
 use oasis_mem::compress::{compress, PageMix};
 use oasis_mem::{ByteSize, PageNum, PAGE_SIZE};
 use oasis_net::{LinkSpec, TrafficAccountant, TrafficClass};
@@ -156,8 +158,9 @@ pub struct MicroLab {
     next_fresh_page: u64,
     /// Compressed size of one untouched (zero) page.
     zero_page_cost: ByteSize,
-    /// Pages dirtied at home since the last memory-server upload.
-    home_dirty_since_upload: Vec<PageNum>,
+    /// Pages dirtied at home since the last memory-server upload, one bit
+    /// per guest page.
+    home_dirty_since_upload: Bitmap,
     /// Whether a first (full) upload has happened.
     uploaded_once: bool,
     /// Optimization toggles.
@@ -189,6 +192,7 @@ impl MicroLab {
 
         let memtap = Memtap::new(vm_id, LinkSpec::gige(), ms_profile.page_service_time);
         let zero_page_cost = ByteSize::bytes(compress(&vec![0u8; PAGE_SIZE as usize]).len() as u64);
+        let home_dirty_since_upload = Bitmap::new(image.num_pages() as usize);
 
         MicroLab {
             home,
@@ -202,7 +206,7 @@ impl MicroLab {
             now: SimTime::ZERO,
             next_fresh_page: 0,
             zero_page_cost,
-            home_dirty_since_upload: Vec::new(),
+            home_dirty_since_upload,
             uploaded_once: false,
             options,
         }
@@ -281,10 +285,7 @@ impl MicroLab {
     /// Collects home-side dirty pages into the differential-upload set.
     fn drain_home_dirty(&mut self) {
         let hosted = self.home.hypervisor.vm_mut(self.vm_id).expect("vm at home");
-        let dirty = hosted.dirty.take_epoch();
-        self.home_dirty_since_upload.extend(dirty);
-        self.home_dirty_since_upload.sort_unstable();
-        self.home_dirty_since_upload.dedup();
+        hosted.dirty.drain_into(&mut self.home_dirty_since_upload);
     }
 
     /// Partial-migrates the VM to the consolidation host (§4.2).
@@ -293,37 +294,31 @@ impl MicroLab {
         self.drain_home_dirty();
 
         // Choose the upload set: everything touched for the first upload,
-        // only dirty-since-upload afterwards (differential, §4.3).
+        // only dirty-since-upload afterwards (differential, §4.3). Either
+        // set streams from its bitmap, in ascending page order, straight
+        // into the drive image.
         let differential = self.uploaded_once && self.options.differential_upload;
-        let (upload_pages, extra_zero_cost) = if differential {
-            (std::mem::take(&mut self.home_dirty_since_upload), ByteSize::ZERO)
-        } else {
-            let hosted = self.home.hypervisor.vm(self.vm_id).expect("vm at home");
-            let touched = hosted.wss.pages();
-            let untouched = self.image.num_pages() - touched.len() as u64;
-            self.home_dirty_since_upload.clear();
-            let zero_cost = if self.options.compression {
-                self.zero_page_cost
-            } else {
-                ByteSize::bytes(PAGE_SIZE)
-            };
-            (touched, zero_cost * untouched)
+        let (image, compression) = (&self.image, self.options.compression);
+        let sized = |p: PageNum| {
+            let size =
+                if compression { image.compressed_size(p) } else { ByteSize::bytes(PAGE_SIZE) };
+            (p, size)
         };
-
-        let batch: Vec<(PageNum, ByteSize)> = upload_pages
-            .iter()
-            .map(|&p| {
-                let size = if self.options.compression {
-                    self.image.compressed_size(p)
-                } else {
-                    ByteSize::bytes(PAGE_SIZE)
-                };
-                (p, size)
-            })
-            .collect();
+        let hosted = self.home.hypervisor.vm(self.vm_id).expect("vm at home");
         let ms = self.home.memserver.as_mut().expect("home has a memory server");
         ms.mount_at_host().expect("drive free");
-        let receipt = ms.upload(self.vm_id, &batch, differential).expect("upload");
+        let (receipt, extra_zero_cost) = if differential {
+            let dirty = self.home_dirty_since_upload.iter_ones().map(|i| sized(PageNum(i as u64)));
+            (ms.upload(self.vm_id, image.num_pages(), dirty, true), ByteSize::ZERO)
+        } else {
+            let untouched = image.num_pages() - hosted.wss.unique_pages();
+            let zero_cost =
+                if compression { self.zero_page_cost } else { ByteSize::bytes(PAGE_SIZE) };
+            let touched = hosted.wss.pages().map(sized);
+            (ms.upload(self.vm_id, image.num_pages(), touched, false), zero_cost * untouched)
+        };
+        let receipt = receipt.expect("upload");
+        self.home_dirty_since_upload.clear_all();
         ms.handoff_to_server().expect("handoff");
         self.uploaded_once = true;
 
@@ -397,7 +392,8 @@ impl MicroLab {
                             Ok(s) => s,
                             // A page idle-dirtied after upload but never
                             // uploaded: treat as fresh allocation.
-                            Err(_) => self.zero_page_cost,
+                            Err(MsError::UnknownPage(..)) => self.zero_page_cost,
+                            Err(e) => panic!("memory server serves the partial VM: {e}"),
                         };
                         self.memtap.service_fault(size);
                         fetched += size;
@@ -470,7 +466,9 @@ impl MicroLab {
         // Transferred dirty pages must go out in the next differential
         // upload; obviated pages carry no live data.
         let sent = dirty.len() as u64 - outcome.obviated_pages;
-        self.home_dirty_since_upload.extend(dirty.into_iter().take(sent as usize));
+        for p in dirty.into_iter().take(sent as usize) {
+            self.home_dirty_since_upload.set(p.0 as usize);
+        }
 
         // The consolidation host releases the partial VM; the memory
         // server stops serving and hands the drive back (§4.3).
@@ -623,6 +621,20 @@ mod tests {
         // Reintegration still works after a lossy consolidation.
         let r = lab.reintegrate();
         assert!(r.total.as_secs_f64() < 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory server serves the partial VM: serving daemon crashed")]
+    fn dead_memory_server_fails_the_idle_fetch_loop() {
+        let mut lab = MicroLab::new(1);
+        lab.prime_os();
+        lab.run_workload(&DesktopWorkload::workload1());
+        lab.idle_wait(SimDuration::from_mins(5));
+        lab.partial_migrate();
+        // The daemon dies before answering its first request: the fetch
+        // loop must not turn the dead server's errors into zero pages.
+        lab.home.memserver.as_mut().expect("memserver").schedule_crash_after(0);
+        lab.consolidated_idle(SimDuration::from_mins(20));
     }
 
     /// Runs the full flow and serializes every observable outcome: phase

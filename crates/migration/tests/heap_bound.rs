@@ -1,0 +1,128 @@
+//! Deterministic heap bounds for the §4 micro-lab flow.
+//!
+//! A counting global allocator records, per thread, the live heap bytes,
+//! their high-water mark and the number of allocations. Counting per
+//! thread keeps the test harness's other threads out of the numbers.
+//! The test runs the `oasis micro --seed 1` flow and holds both counts
+//! under fixed bounds. Neither count depends on the machine or its load,
+//! so the bounds gate the lab's page-level containers without a wall
+//! clock: a per-page map or a collected page list in the flow raises the
+//! peak far past its bound.
+//!
+//! When a measured value falls well below its bound, lower the bound to
+//! match; the test prints both.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use oasis_migration::lab::MicroLab;
+use oasis_sim::SimDuration;
+use oasis_vm::apps::DesktopWorkload;
+
+/// Wraps the system allocator and counts what the calling thread does.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn grew(bytes: usize) {
+    // `try_with` because the allocator also runs while thread-locals
+    // are being torn down.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes as i64);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn shrank(bytes: usize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as i64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and only updates thread-local counters afterwards, so
+// `System`'s guarantees carry over; the counters never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded with the caller's layout.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded with the caller's layout.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller hands back a block `System` returned for
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's block came from `System` with `layout`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            shrank(layout.size());
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Peak live bytes above the starting level, and allocations made, while
+/// `f` runs on this thread.
+fn measure(f: impl FnOnce()) -> (u64, u64) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let allocs = ALLOCS.with(Cell::get);
+    f();
+    let peak = PEAK.with(Cell::get) - start;
+    (peak as u64, ALLOCS.with(Cell::get) - allocs)
+}
+
+/// The `oasis micro` flow, in its order, on a fresh lab.
+fn micro_flow(seed: u64) {
+    let mut lab = MicroLab::new(seed);
+    lab.prime_os();
+    lab.run_workload(&DesktopWorkload::workload1());
+    lab.idle_wait(SimDuration::from_mins(5));
+    lab.full_migrate_baseline();
+    lab.partial_migrate();
+    lab.consolidated_idle(SimDuration::from_mins(20));
+    lab.reintegrate();
+    lab.run_workload(&DesktopWorkload::workload2());
+    lab.idle_wait(SimDuration::from_mins(5));
+    lab.partial_migrate();
+}
+
+#[test]
+fn micro_flow_heap_stays_bounded() {
+    // Measured 8,269,974 B and 322 allocations; a dense image of 2^20
+    // `u32` slots alone is 4 MiB. The flow with a per-page B-tree image
+    // and collected upload lists peaked at 39,467,190 B over 124,142
+    // allocations.
+    const PEAK_BOUND: u64 = 10 * 1024 * 1024;
+    const ALLOC_BOUND: u64 = 400;
+    let (peak, allocs) = measure(|| micro_flow(1));
+    println!(
+        "micro flow, seed 1: peak {peak} B (bound {PEAK_BOUND}), {allocs} allocations (bound {ALLOC_BOUND})"
+    );
+    assert!(peak <= PEAK_BOUND, "peak live heap {peak} B exceeds {PEAK_BOUND} B");
+    assert!(allocs <= ALLOC_BOUND, "{allocs} allocations exceed {ALLOC_BOUND}");
+}

@@ -7,7 +7,7 @@ use oasis::host::guest::GuestMemoryImage;
 use oasis::host::memtap::Memtap;
 use oasis::host::MemoryServer;
 use oasis::mem::compress::{compress, decompress, PageClass, PageMix};
-use oasis::mem::{ByteSize, PageNum};
+use oasis::mem::PageNum;
 use oasis::net::LinkSpec;
 use oasis::power::MemoryServerProfile;
 use oasis::vm::VmId;
@@ -33,9 +33,8 @@ fn main() {
     let mut server = MemoryServer::new(profile);
     let image = GuestMemoryImage::new(9, PageMix::desktop(), 65_536);
     let vm = VmId(1);
-    let pages: Vec<(PageNum, ByteSize)> =
-        (0..20_000).map(|i| (PageNum(i), image.compressed_size(PageNum(i)))).collect();
-    let receipt = server.upload(vm, &pages, false).expect("drive at host");
+    let pages = (0..20_000).map(|i| (PageNum(i), image.compressed_size(PageNum(i))));
+    let receipt = server.upload(vm, image.num_pages(), pages, false).expect("drive at host");
     println!(
         "   {} pages, {} raw -> {} compressed, {:.1}s at 128 MiB/s",
         receipt.pages,
@@ -62,9 +61,8 @@ fn main() {
 
     println!("== differential upload after dirtying 500 pages");
     server.handoff_to_host().expect("was serving");
-    let dirty: Vec<(PageNum, ByteSize)> =
-        (0..500).map(|i| (PageNum(i * 7), image.compressed_size(PageNum(i * 7)))).collect();
-    let diff = server.upload(vm, &dirty, true).expect("drive back at host");
+    let dirty = (0..500).map(|i| (PageNum(i * 7), image.compressed_size(PageNum(i * 7))));
+    let diff = server.upload(vm, image.num_pages(), dirty, true).expect("drive back at host");
     println!(
         "   rewrote {} pages ({}) in {:.2}s — {}x faster than the full upload",
         diff.pages,

@@ -237,7 +237,7 @@ fn mid_chunk_memserver_crash_charges_only_served_pages() {
     let mut ms = MemoryServer::new(MemoryServerProfile::prototype());
     let batch: Vec<_> =
         (0..12u64).map(|i| (PageNum(i), ByteSize::bytes(900 + (i % 5) * 150))).collect();
-    ms.upload(vm, &batch, false).unwrap();
+    ms.upload(vm, batch.len() as u64, batch.iter().copied(), false).unwrap();
     ms.handoff_to_server().unwrap();
     let mut mt = Memtap::new(vm, LinkSpec::gige(), ms.service_time());
 
