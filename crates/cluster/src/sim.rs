@@ -104,12 +104,11 @@ const DIRTY_CAP: ByteSize = ByteSize::mib(512);
 /// saturating part of the Figure 1 curve flattens them out.
 const WSS_GROWTH_WINDOW: SimDuration = SimDuration::from_mins(60);
 
-#[derive(Clone, Debug)]
+/// A host's awake/asleep timeline within the current interval. Its
+/// power state lives in the planning view; every method that depends
+/// on it takes it as an argument.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct SimHost {
-    pub(crate) id: HostId,
-    pub(crate) role: HostRole,
-    pub(crate) powered: bool,
-    /// Per-interval timeline accumulator.
     pub(crate) awake_secs: f64,
     pub(crate) last_on_offset: f64,
     pub(crate) suspends: u32,
@@ -124,8 +123,10 @@ impl SimHost {
         self.resumes = 0;
     }
 
-    fn set_power(&mut self, offset_secs: f64, on: bool) {
-        if self.powered == on {
+    /// Records a switch from `powered` to `on` at `offset_secs`; a
+    /// redundant switch records nothing.
+    fn set_power(&mut self, powered: bool, offset_secs: f64, on: bool) {
+        if powered == on {
             return;
         }
         if on {
@@ -135,36 +136,28 @@ impl SimHost {
             self.awake_secs += (offset_secs - self.last_on_offset).max(0.0);
             self.suspends += 1;
         }
-        self.powered = on;
     }
 
-    /// A wake-work-sleep episode that starts and ends inside the interval
-    /// (the FulltoPartial temporary home wake).
+    /// A wake-work-sleep episode of a sleeping host that starts and ends
+    /// inside the interval (the FulltoPartial temporary home wake).
     fn temporary_episode(&mut self, secs: f64) {
-        debug_assert!(!self.powered, "episodes only on sleeping hosts");
         self.awake_secs += secs;
         self.resumes += 1;
         self.suspends += 1;
     }
 
-    fn end_interval(&mut self) -> f64 {
-        if self.powered {
+    fn end_interval(&mut self, powered: bool) -> f64 {
+        if powered {
             self.awake_secs += (INTERVAL_SECS - self.last_on_offset).max(0.0);
         }
         self.awake_secs.min(INTERVAL_SECS)
     }
 }
 
+/// What the simulator knows of a VM beyond its [`VmView`] record.
 #[derive(Clone, Debug)]
 pub(crate) struct SimVm {
-    pub(crate) id: VmId,
-    pub(crate) home: HostId,
-    pub(crate) location: HostId,
     pub(crate) class: WorkloadClass,
-    pub(crate) state: VmState,
-    pub(crate) partial: bool,
-    pub(crate) demand: ByteSize,
-    pub(crate) allocation: ByteSize,
     /// Expected working set if consolidated (planner estimate).
     pub(crate) wss_estimate: ByteSize,
     /// Growth ceiling for the current consolidation epoch.
@@ -178,22 +171,17 @@ pub(crate) struct SimVm {
 
 /// Incrementally maintained per-host residency index.
 ///
-/// The planning tick and energy accounting used to rescan the full VM
-/// vector once per host per query (`O(hosts × VMs)` per interval); these
-/// indices are updated at every placement/state mutation instead, turning
-/// the per-interval cost into `O(changes)`. The resident list is kept in
-/// ascending VM-index order so every consumer observes exactly the order
-/// the old full scans produced — byte-identical results are part of the
-/// contract, not an accident.
+/// The resident lists are updated at every placement/state mutation
+/// instead of being rescanned from the VM records each interval, and are
+/// kept in ascending VM-index order so every consumer observes exactly
+/// the order a full scan produces — byte-identical results are part of
+/// the contract, not an accident. The residents' demand sum is the
+/// view's `host_demand`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Residency {
-    /// Indices into `ClusterSim::vms` of the VMs resident on this host,
+    /// Indices into the VM vector of the VMs resident on this host,
     /// ascending.
     pub(crate) vms: Vec<usize>,
-    /// Sum of the residents' memory demand.
-    pub(crate) demand: ByteSize,
-    /// Number of residents whose state is active.
-    pub(crate) active: usize,
     /// Indices of the active residents, ascending — the subsequence of
     /// `vms` the attribution split visits, kept so that split never
     /// walks a host's (possibly hundreds of) idle residents to find the
@@ -204,7 +192,6 @@ pub(crate) struct Residency {
 impl Residency {
     /// Adds `vi` to the sorted active-resident list.
     fn active_insert(&mut self, vi: usize) {
-        self.active += 1;
         if let Err(pos) = self.active_vms.binary_search(&vi) {
             self.active_vms.insert(pos, vi);
         } else {
@@ -214,7 +201,6 @@ impl Residency {
 
     /// Removes `vi` from the sorted active-resident list.
     fn active_remove(&mut self, vi: usize) {
-        self.active -= 1;
         match self.active_vms.binary_search(&vi) {
             Ok(pos) => {
                 self.active_vms.remove(pos);
@@ -224,7 +210,7 @@ impl Residency {
     }
 }
 
-/// Borrow of the simulator's maintained residency aggregates, handed to
+/// Borrow of the simulator's maintained residency indices, handed to
 /// the planner so a round never rebuilds its host index from the VM
 /// vector. The recount tests in `verify_indices` lock the borrowed data
 /// to the [`oasis_core::ResidencyIndex`] contract.
@@ -238,10 +224,6 @@ impl oasis_core::ResidencyIndex for ResidencyHandoff<'_> {
         &self.residency[pos].vms
     }
 
-    fn demand(&self, pos: usize) -> ByteSize {
-        self.residency[pos].demand
-    }
-
     fn full_idle_consolidated(&self) -> Option<&[usize]> {
         Some(self.exchange_ready)
     }
@@ -252,16 +234,18 @@ pub struct ClusterSim {
     pub(crate) cfg: ClusterConfig,
     pub(crate) rng: SimRng,
     pub(crate) manager: ClusterManager,
+    /// Per-host interval timelines, parallel to `view.hosts`.
     pub(crate) hosts: Vec<SimHost>,
+    /// Per-VM simulation state the planner never reads, parallel to
+    /// `view.vms`.
     pub(crate) vms: Vec<SimVm>,
-    /// Incrementally maintained planning snapshot. Mirrors `hosts`/`vms`
-    /// exactly (same order, same values) and is updated at the same
-    /// mutation funnels as the residency indices, so handing the manager
-    /// `&self.view` is byte-identical to rebuilding a [`ClusterView`]
-    /// from scratch — without the `O(hosts + VMs)` rebuild per
-    /// activation that used to dominate paper-scale runs.
+    /// The rack's state as the manager plans over it: the one record of
+    /// every host's role, power and capacity and every VM's placement,
+    /// state and demand (with the per-host demand sums in
+    /// `host_demand`). The mutation funnels below write it in place, so
+    /// the manager is handed `&self.view` with no per-round rebuild.
     pub(crate) view: ClusterView,
-    /// Per-host residency index, parallel to `hosts`.
+    /// Per-host residency index, parallel to `view.hosts`.
     pub(crate) residency: Vec<Residency>,
     /// Per-host count of partial VMs homed there but located elsewhere
     /// (their memory server must stay powered while the host sleeps).
@@ -331,12 +315,6 @@ pub struct ClusterSim {
     /// construction, so the capacity-exhaustion sweep reuses this
     /// instead of re-filtering (and re-allocating) every interval.
     cons_hosts: Vec<HostId>,
-    /// Effective capacity the capacity-exhaustion sweep holds the
-    /// consolidation hosts to. Starts at `cfg.effective_capacity()` and
-    /// only the datacenter epoch planner ever moves it (via
-    /// [`Self::set_cons_capacity`]) when a rack borrows or donates
-    /// headroom; a standalone rack never sees it change.
-    cons_capacity: ByteSize,
     /// Indices of full (non-partial) idle VMs currently located on
     /// consolidation hosts, ascending — the candidate superset of the
     /// planner's exchange pass. Maintained at the location/partial/state
@@ -424,32 +402,24 @@ impl ClusterSim {
             }
         }
 
-        let mut hosts = Vec::new();
-        for h in 0..cfg.home_hosts {
-            hosts.push(SimHost {
-                id: HostId(h),
-                role: HostRole::Compute,
-                powered: true,
-                awake_secs: 0.0,
-                last_on_offset: 0.0,
-                suspends: 0,
-                resumes: 0,
-            });
-        }
-        for c in 0..cfg.consolidation_hosts {
-            hosts.push(SimHost {
-                id: HostId(cfg.home_hosts + c),
-                role: HostRole::Consolidation,
-                powered: false,
-                awake_secs: 0.0,
-                last_on_offset: 0.0,
-                suspends: 0,
-                resumes: 0,
-            });
-        }
+        let capacity = cfg.effective_capacity();
+        let hosts: Vec<HostView> = (0..cfg.home_hosts + cfg.consolidation_hosts)
+            .map(|h| {
+                let compute = h < cfg.home_hosts;
+                HostView {
+                    id: HostId(h),
+                    role: if compute { HostRole::Compute } else { HostRole::Consolidation },
+                    // Consolidation hosts sleep until a plan needs them.
+                    powered: compute,
+                    vacatable: true,
+                    capacity,
+                }
+            })
+            .collect();
 
         let wss_dist = IdleWssDistribution::jettison();
         let total_weight: f64 = cfg.workload_mix.iter().map(|&(_, w)| w.max(0.0)).sum();
+        let mut vm_views = Vec::new();
         let mut vms = Vec::new();
         for v in 0..cfg.total_vms() {
             let home = HostId(v / cfg.vms_per_host);
@@ -467,21 +437,26 @@ impl ClusterSim {
                 }
             }
             let estimate = sample_class_wss(class, &wss_dist, cfg.vm_allocation, &mut rng);
-            vms.push(SimVm {
+            vm_views.push(VmView {
                 id: VmId(v),
                 home,
                 location: home,
-                class,
                 state: VmState::Idle,
-                partial: false,
-                demand: cfg.vm_allocation,
                 allocation: cfg.vm_allocation,
+                demand: cfg.vm_allocation,
+                partial_demand: estimate,
+                partial: false,
+            });
+            vms.push(SimVm {
+                class,
                 wss_estimate: estimate,
                 wss_cap: estimate,
                 consolidated_since: None,
                 uploaded_once: false,
             });
         }
+        let mut view = ClusterView { hosts, vms: vm_views, host_demand: Vec::new() };
+        view.rebuild_host_demand();
 
         let manager = ClusterManager::new(
             ManagerConfig {
@@ -504,47 +479,16 @@ impl ClusterSim {
             cfg.seed,
         );
 
+        let hosts = vec![SimHost::default(); view.hosts.len()];
         let mut residency = vec![Residency::default(); hosts.len()];
-        for (vi, vm) in vms.iter().enumerate() {
-            let r = &mut residency[vm.location.0 as usize];
-            r.vms.push(vi);
-            r.demand += vm.demand;
+        for (vi, vm) in view.vms.iter().enumerate() {
+            residency[vm.location.0 as usize].vms.push(vi);
         }
         let home_partials = vec![0; hosts.len()];
 
-        // Seed the incrementally maintained planning view; from here on
-        // the mutation funnels keep it exact.
-        let capacity = cfg.effective_capacity();
-        let mut view = ClusterView {
-            hosts: hosts
-                .iter()
-                .map(|h| HostView {
-                    id: h.id,
-                    role: h.role,
-                    powered: h.powered,
-                    vacatable: true,
-                    capacity,
-                })
-                .collect(),
-            vms: vms
-                .iter()
-                .map(|v| VmView {
-                    id: v.id,
-                    home: v.home,
-                    location: v.location,
-                    state: v.state,
-                    allocation: v.allocation,
-                    demand: v.demand,
-                    partial_demand: if v.partial { v.demand } else { v.wss_estimate },
-                    partial: v.partial,
-                })
-                .collect(),
-            host_demand: Vec::new(),
-        };
-        view.rebuild_host_demand();
-
         let recovery_rng = SimRng::new(cfg.seed ^ 0xFA17_5EED);
-        let host_energy = hosts
+        let host_energy = view
+            .hosts
             .iter()
             .map(|h| HostEnergy { host: h.id.0, ..HostEnergy::default() })
             .collect::<Vec<_>>();
@@ -552,8 +496,7 @@ impl ClusterSim {
         let dirty_hosts = vec![false; hosts.len()];
         let dirty_vms = vec![false; vms.len()];
         let away_from_home = vec![Vec::new(); hosts.len()];
-        let cons_hosts: Vec<HostId> =
-            hosts.iter().filter(|h| h.role == HostRole::Consolidation).map(|h| h.id).collect();
+        let cons_hosts: Vec<HostId> = view.consolidation_hosts().map(|h| h.id).collect();
         let growth_quantum = WorkloadClass::ALL.map(|c| {
             ByteSize::from_mib_f64(
                 c.idle_model().growth_per_min.as_mib_f64() * INTERVAL_SECS / 60.0,
@@ -599,7 +542,6 @@ impl ClusterSim {
             busy_scratch: Vec::new(),
             away_from_home,
             cons_hosts,
-            cons_capacity: capacity,
             exchange_ready: Vec::new(),
             growth_quantum,
         }
@@ -620,13 +562,14 @@ impl ClusterSim {
     /// Switches a host's power state, mirroring real transitions onto the
     /// event bus (redundant calls stay silent, like `set_power`).
     fn set_host_power(&mut self, idx: usize, offset_secs: f64, on: bool) {
-        if self.hosts[idx].powered == on {
+        let powered = &mut self.view.hosts[idx].powered;
+        if *powered == on {
             return;
         }
-        self.hosts[idx].set_power(offset_secs, on);
+        self.hosts[idx].set_power(*powered, offset_secs, on);
+        *powered = on;
         self.dirty_hosts[idx] = true;
-        self.view.hosts[idx].powered = on;
-        let host = self.hosts[idx].id.0;
+        let host = self.view.hosts[idx].id.0;
         self.telemetry.emit(if on {
             Event::HostResumed { host }
         } else {
@@ -671,10 +614,10 @@ impl ClusterSim {
         now: SimTime,
         decision: u64,
     ) -> Result<f64, f64> {
-        if self.hosts[idx].powered {
+        if self.view.hosts[idx].powered {
             return Ok(0.0);
         }
-        let host = self.hosts[idx].id.0;
+        let host = self.view.hosts[idx].id.0;
         if let Some(fault) = self.cfg.faults.wake_failure(host, now).copied() {
             return match self.wake_recovery(host, fault, now, decision) {
                 Ok(waited) => {
@@ -740,15 +683,11 @@ impl ClusterSim {
     /// demand-fetch of the missing pages; the VM stops depending on its
     /// home's memory server.
     fn fallback_promote(&mut self, vi: usize) {
-        if !self.vms[vi].partial {
+        if !self.view.vms[vi].partial {
             return;
         }
-        let remaining = self.vms[vi].allocation - self.vms[vi].demand;
-        self.traffic.record(TrafficClass::DemandFetch, remaining.mul_f64(COMPRESS_RATIO));
-        self.set_vm_partial(vi, false);
-        self.set_vm_demand(vi, self.vms[vi].allocation);
-        self.vms[vi].consolidated_since = None;
-        let target = self.vms[vi].id.0;
+        self.promote_in_place(vi);
+        let target = self.view.vms[vi].id.0;
         self.counts.promotions += 1;
         self.fault_counts.fallback_promotions += 1;
         self.fault_counts.recoveries += 1;
@@ -758,7 +697,7 @@ impl ClusterSim {
             decision,
             class: DecisionClass::FallbackPromote,
             vm: target,
-            target: self.vms[vi].location.0,
+            target: self.view.vms[vi].location.0,
             candidates: 1,
         });
         self.telemetry.emit(Event::RecoveryApplied {
@@ -774,8 +713,8 @@ impl ClusterSim {
     /// Returns `false` when no host qualifies — the source rides out the
     /// fault window over-committed.
     fn relocate_to_fallback(&mut self, vi: usize, now: SimTime) -> bool {
-        let src = self.vms[vi].location;
-        let need = self.vms[vi].allocation;
+        let src = self.view.vms[vi].location;
+        let need = self.view.vms[vi].allocation;
         // One deterministic pass over the residency index: the first
         // powered host with headroom wins outright; the first wakeable
         // sleeper is remembered as the fallback. Identical selection to
@@ -784,12 +723,9 @@ impl ClusterSim {
         let mut sleeper = None;
         let mut dest = None;
         let mut examined = 0u32;
-        for h in &self.hosts {
+        for h in &self.view.hosts {
             examined += 1;
-            // Per-host capacity from the maintained view: epoch grants
-            // can widen a consolidation host beyond the config default.
-            let capacity = self.view.hosts[h.id.0 as usize].capacity;
-            if h.id == src || self.demand_on(h.id) + need > capacity {
+            if h.id == src || self.demand_on(h.id) + need > h.capacity {
                 continue;
             }
             if h.powered {
@@ -806,7 +742,7 @@ impl ClusterSim {
         self.telemetry.emit(Event::DecisionMade {
             decision,
             class: DecisionClass::Shed,
-            vm: self.vms[vi].id.0,
+            vm: self.view.vms[vi].id.0,
             target: dest.0,
             candidates: examined,
         });
@@ -814,10 +750,10 @@ impl ClusterSim {
         if self.try_wake(di, 0.0, now, decision).is_err() {
             return false;
         }
-        let moved = self.vms[vi].allocation.mul_f64(1.15);
+        let moved = self.view.vms[vi].allocation.mul_f64(1.15);
         self.traffic.record(TrafficClass::FullMigration, moved);
         self.telemetry.emit(Event::MigrationCompleted {
-            vm: self.vms[vi].id.0,
+            vm: self.view.vms[vi].id.0,
             from: src.0,
             to: dest.0,
             kind: MigrationKind::Full,
@@ -826,10 +762,8 @@ impl ClusterSim {
             decision,
         });
         self.move_vm_to(vi, dest);
-        self.set_vm_partial(vi, false);
-        self.set_vm_demand(vi, self.vms[vi].allocation);
-        self.vms[vi].consolidated_since = None;
-        let target = self.vms[vi].id.0;
+        self.make_full(vi);
+        let target = self.view.vms[vi].id.0;
         self.counts.full += 1;
         self.fault_counts.fallback_promotions += 1;
         self.fault_counts.recoveries += 1;
@@ -847,20 +781,17 @@ impl ClusterSim {
     /// depends on the dead daemon. Maintains the invariant that no
     /// partial VM is ever homed at a host whose memory server is down.
     fn recover_orphans(&mut self, home: HostId) {
-        let orphans: Vec<usize> = self
-            .vms
+        // The away index lists the VMs homed here and located elsewhere,
+        // ascending; promoting one moves nothing, so the list only loses
+        // members the filter already passed over.
+        let orphans: Vec<usize> = self.away_from_home[home.0 as usize]
             .iter()
-            .enumerate()
-            .filter(|(_, v)| v.home == home && v.partial && v.location != home)
-            .map(|(i, _)| i)
+            .copied()
+            .filter(|&vi| self.view.vms[vi].partial)
             .collect();
         for vi in orphans {
-            let remaining = self.vms[vi].allocation - self.vms[vi].demand;
-            self.traffic.record(TrafficClass::DemandFetch, remaining.mul_f64(COMPRESS_RATIO));
-            self.set_vm_partial(vi, false);
-            self.set_vm_demand(vi, self.vms[vi].allocation);
-            self.vms[vi].consolidated_since = None;
-            let target = self.vms[vi].id.0;
+            self.promote_in_place(vi);
+            let target = self.view.vms[vi].id.0;
             self.fault_counts.rehomed_vms += 1;
             self.fault_counts.recoveries += 1;
             self.decisions.fallback_promote += 1;
@@ -869,7 +800,7 @@ impl ClusterSim {
                 decision,
                 class: DecisionClass::FallbackPromote,
                 vm: target,
-                target: self.vms[vi].location.0,
+                target: self.view.vms[vi].location.0,
                 candidates: 1,
             });
             self.telemetry.emit(Event::RecoveryApplied {
@@ -1008,7 +939,7 @@ impl ClusterSim {
             let offset = (r.start.as_secs_f64() - now.as_secs_f64()).clamp(0.0, INTERVAL_SECS);
             let downtime = r.downtime.as_secs_f64().min(INTERVAL_SECS - offset).max(0.0);
             self.counts.reboots += 1;
-            if self.hosts[idx].powered {
+            if self.view.hosts[idx].powered {
                 for _ in 0..self.residency[idx].active_vms.len() {
                     self.delays.record(downtime);
                 }
@@ -1027,52 +958,48 @@ impl ClusterSim {
     /// Moves a VM to `dest`, carrying its demand/active contributions
     /// between the residency indices. Every location change funnels
     /// through here (and the sibling setters below) so the indices can
-    /// never drift from the VM vector.
+    /// never drift from the view.
     fn move_vm_to(&mut self, vi: usize, dest: HostId) {
-        let src = self.vms[vi].location;
+        let VmView { location: src, demand, state, partial, home, .. } = self.view.vms[vi];
         if src == dest {
             return;
         }
+        let (s, d) = (src.0 as usize, dest.0 as usize);
+        let active = state.is_active();
         self.mark_vm_dirty(vi);
-        self.dirty_hosts[src.0 as usize] = true;
-        self.dirty_hosts[dest.0 as usize] = true;
-        let (demand, active, partial, home) = {
-            let v = &self.vms[vi];
-            (v.demand, v.state.is_active(), v.partial, v.home)
-        };
+        self.dirty_hosts[s] = true;
+        self.dirty_hosts[d] = true;
         // A full idle VM crossing the compute/consolidation boundary
         // enters or leaves the exchange pass's candidate set.
         if !partial && !active {
-            let src_cons = self.hosts[src.0 as usize].role == HostRole::Consolidation;
-            let dest_cons = self.hosts[dest.0 as usize].role == HostRole::Consolidation;
+            let src_cons = self.view.hosts[s].role == HostRole::Consolidation;
+            let dest_cons = self.view.hosts[d].role == HostRole::Consolidation;
             if dest_cons && !src_cons {
                 self.exchange_ready_insert(vi);
             } else if src_cons && !dest_cons {
                 self.exchange_ready_remove(vi);
             }
         }
-        let r = &mut self.residency[src.0 as usize];
+        let r = &mut self.residency[s];
         match r.vms.binary_search(&vi) {
             Ok(pos) => {
                 r.vms.remove(pos);
             }
             Err(_) => debug_assert!(false, "vm {vi} missing from source index"),
         }
-        r.demand -= demand;
         if active {
             r.active_remove(vi);
         }
-        let r = &mut self.residency[dest.0 as usize];
+        let r = &mut self.residency[d];
         match r.vms.binary_search(&vi) {
             Ok(_) => debug_assert!(false, "vm {vi} already in destination index"),
             Err(pos) => r.vms.insert(pos, vi),
         }
-        r.demand += demand;
         if active {
             r.active_insert(vi);
         }
-        self.view.host_demand[src.0 as usize] = self.residency[src.0 as usize].demand;
-        self.view.host_demand[dest.0 as usize] = self.residency[dest.0 as usize].demand;
+        self.view.host_demand[s] -= demand;
+        self.view.host_demand[d] += demand;
         if partial {
             // A partial replica's home serves it only while it lives
             // elsewhere; track entering/leaving the home host.
@@ -1099,39 +1026,36 @@ impl ClusterSim {
                 Err(_) => debug_assert!(false, "vm {vi} missing from away index"),
             }
         }
-        self.vms[vi].location = dest;
         self.view.vms[vi].location = dest;
     }
 
-    /// Sets a VM's demand, keeping its host's cached demand sum current.
+    /// Sets a VM's demand, keeping its host's demand sum current.
     fn set_vm_demand(&mut self, vi: usize, demand: ByteSize) {
-        let host = self.vms[vi].location.0 as usize;
-        if self.vms[vi].demand != demand {
+        let old = self.view.vms[vi].demand;
+        if old != demand {
             self.mark_vm_dirty(vi);
         }
-        let r = &mut self.residency[host];
-        r.demand = (r.demand + demand) - self.vms[vi].demand;
-        self.view.host_demand[host] = r.demand;
-        self.vms[vi].demand = demand;
         let vv = &mut self.view.vms[vi];
         vv.demand = demand;
         if vv.partial {
             vv.partial_demand = demand;
         }
+        let sum = &mut self.view.host_demand[vv.location.0 as usize];
+        *sum = (*sum + demand) - old;
     }
 
     /// Sets a VM's partial flag, keeping the served-partials count of its
     /// home current.
     fn set_vm_partial(&mut self, vi: usize, partial: bool) {
-        let v = &self.vms[vi];
-        if v.partial == partial {
+        let VmView { location, home, state, demand, partial: was, .. } = self.view.vms[vi];
+        if was == partial {
             return;
         }
         self.mark_vm_dirty(vi);
         // An idle VM on a consolidation host swaps between "full idle"
         // (exchange candidate) and partial as the flag flips.
-        if !self.vms[vi].state.is_active()
-            && self.hosts[self.vms[vi].location.0 as usize].role == HostRole::Consolidation
+        if !state.is_active()
+            && self.view.hosts[location.0 as usize].role == HostRole::Consolidation
         {
             if partial {
                 self.exchange_ready_remove(vi);
@@ -1139,10 +1063,8 @@ impl ClusterSim {
                 self.exchange_ready_insert(vi);
             }
         }
-        let v = &self.vms[vi];
-        if v.location != v.home {
-            let home = v.home.0 as usize;
-            let slot = &mut self.home_partials[home];
+        if location != home {
+            let slot = &mut self.home_partials[home.0 as usize];
             if partial {
                 *slot += 1;
             } else {
@@ -1156,23 +1078,23 @@ impl ClusterSim {
             Err(pos) if partial => self.partials.insert(pos, vi),
             _ => debug_assert!(false, "partial index out of step with vm {vi}"),
         }
-        self.vms[vi].partial = partial;
         let vv = &mut self.view.vms[vi];
         vv.partial = partial;
-        vv.partial_demand = if partial { self.vms[vi].demand } else { self.vms[vi].wss_estimate };
+        vv.partial_demand = if partial { demand } else { self.vms[vi].wss_estimate };
     }
 
-    /// Sets a VM's activity state, keeping its host's active count current.
+    /// Sets a VM's activity state, keeping its host's active residents
+    /// current.
     fn set_vm_state(&mut self, vi: usize, state: VmState) {
-        let old = self.vms[vi].state;
+        let VmView { location, partial, state: old, .. } = self.view.vms[vi];
         if old != state {
             self.mark_vm_dirty(vi);
         }
         if old.is_active() != state.is_active() {
-            let host = self.vms[vi].location.0 as usize;
+            let host = location.0 as usize;
             // A full VM on a consolidation host joins the exchange
             // candidate set when it idles and leaves it on activation.
-            if !self.vms[vi].partial && self.hosts[host].role == HostRole::Consolidation {
+            if !partial && self.view.hosts[host].role == HostRole::Consolidation {
                 if state.is_active() {
                     self.exchange_ready_remove(vi);
                 } else {
@@ -1186,8 +1108,54 @@ impl ClusterSim {
                 r.active_remove(vi);
             }
         }
-        self.vms[vi].state = state;
         self.view.vms[vi].state = state;
+    }
+
+    /// Turns a VM full on its current host: its demand becomes its whole
+    /// allocation and its consolidation epoch ends (only partial VMs
+    /// read the epoch start). Callers that moved the VM by full
+    /// migration have already carried its pages.
+    fn make_full(&mut self, vi: usize) {
+        self.set_vm_partial(vi, false);
+        self.set_vm_demand(vi, self.view.vms[vi].allocation);
+        self.vms[vi].consolidated_since = None;
+    }
+
+    /// Promotes a VM to full without moving it: the pages it lacks are
+    /// demand-fetched from its home's memory server, then
+    /// [`Self::make_full`].
+    fn promote_in_place(&mut self, vi: usize) {
+        let vm = &self.view.vms[vi];
+        let remaining = vm.allocation - vm.demand;
+        self.traffic.record(TrafficClass::DemandFetch, remaining.mul_f64(COMPRESS_RATIO));
+        self.make_full(vi);
+    }
+
+    /// Consolidates a VM onto `dest` as a partial replica (a no-op move
+    /// when it is already there): uploads its image to its home's memory
+    /// server — differential after the first upload — and starts a new
+    /// consolidation epoch with a freshly sampled working set. Returns
+    /// the upload volume.
+    fn consolidate_partial(&mut self, vi: usize, dest: HostId, now: SimTime) -> ByteSize {
+        let class = self.vms[vi].class;
+        let upload = if self.vms[vi].uploaded_once { DIFF_UPLOAD } else { FIRST_UPLOAD }
+            .mul_f64(upload_scale(class));
+        self.traffic.record(TrafficClass::MemServerUpload, upload);
+        self.traffic
+            .record(TrafficClass::PartialDescriptor, oasis_migration::partial::DESCRIPTOR_BYTES);
+        let allocation = self.view.vms[vi].allocation;
+        let wss = sample_class_wss(class, &self.wss_dist, allocation, &mut self.rng);
+        let growth_cap = ByteSize::from_mib_f64(
+            class.idle_model().growth_per_min.as_mib_f64() * WSS_GROWTH_WINDOW.as_secs_f64() / 60.0,
+        );
+        self.move_vm_to(vi, dest);
+        self.set_vm_partial(vi, true);
+        self.set_vm_demand(vi, wss);
+        let vm = &mut self.vms[vi];
+        vm.wss_cap = wss + growth_cap;
+        vm.consolidated_since = Some(now);
+        vm.uploaded_once = true;
+        upload
     }
 
     /// Adds `vi` to the sorted exchange-candidate list.
@@ -1225,101 +1193,75 @@ impl ClusterSim {
 
     /// Total memory demand resident on `host` (cached sum).
     fn demand_on(&self, host: HostId) -> ByteSize {
-        self.residency[host.0 as usize].demand
+        self.view.host_demand[host.0 as usize]
     }
 
-    /// Number of active VMs resident on `host` (cached count).
+    /// Number of active VMs resident on `host`.
     fn active_on(&self, host: HostId) -> usize {
-        self.residency[host.0 as usize].active
+        self.residency[host.0 as usize].active_vms.len()
     }
 
-    /// Compares every incrementally maintained index against a
-    /// from-scratch recount of the VM vector. Test-only: the production
-    /// path never rescans — that is the point of the indices.
+    /// Compares every incrementally maintained index, and the view's
+    /// per-host demand sums, against a from-scratch recount of the VM
+    /// records. Test-only: the production path never rescans — that is
+    /// the point of the indices.
     #[cfg(test)]
     fn verify_indices(&self) -> Result<(), String> {
+        let vms = &self.view.vms;
         for (h, r) in self.residency.iter().enumerate() {
-            let host = self.hosts[h].id;
-            let vms: Vec<usize> = self
-                .vms
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.location == host)
-                .map(|(i, _)| i)
-                .collect();
-            if r.vms != vms {
-                return Err(format!("host {h}: residents {:?} != recount {vms:?}", r.vms));
+            let host = self.view.hosts[h].id;
+            let residents: Vec<usize> =
+                (0..vms.len()).filter(|&i| vms[i].location == host).collect();
+            if r.vms != residents {
+                return Err(format!("host {h}: residents {:?} != recount {residents:?}", r.vms));
             }
-            let demand: ByteSize = vms.iter().map(|&i| self.vms[i].demand).sum();
-            if r.demand != demand {
-                return Err(format!("host {h}: cached demand {} != recount {demand}", r.demand));
-            }
-            let active: Vec<usize> =
-                vms.iter().copied().filter(|&i| self.vms[i].state.is_active()).collect();
-            if r.active != active.len() || r.active_vms != active {
+            let demand: ByteSize = residents.iter().map(|&i| vms[i].demand).sum();
+            if self.view.host_demand[h] != demand {
                 return Err(format!(
-                    "host {h}: cached active {}/{:?} != recount {active:?}",
-                    r.active, r.active_vms
+                    "host {h}: cached demand {} != recount {demand}",
+                    self.view.host_demand[h]
                 ));
             }
-            let partials = self
-                .vms
-                .iter()
-                .filter(|v| v.home == host && v.partial && v.location != host)
-                .count() as u32;
+            let active: Vec<usize> =
+                residents.iter().copied().filter(|&i| vms[i].state.is_active()).collect();
+            if r.active_vms != active {
+                return Err(format!(
+                    "host {h}: cached active {:?} != recount {active:?}",
+                    r.active_vms
+                ));
+            }
+            let partials =
+                vms.iter().filter(|v| v.home == host && v.partial && v.location != host).count()
+                    as u32;
             if self.home_partials[h] != partials {
                 return Err(format!(
                     "host {h}: served partials {} != recount {partials}",
                     self.home_partials[h]
                 ));
             }
+            let away: Vec<usize> = (0..vms.len())
+                .filter(|&i| vms[i].home == host && vms[i].location != host)
+                .collect();
+            if self.away_from_home[h] != away {
+                return Err(format!(
+                    "host {h}: away index {:?} != recount {away:?}",
+                    self.away_from_home[h]
+                ));
+            }
         }
-        let ready: Vec<usize> = self
-            .vms
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| {
-                !v.partial
-                    && !v.state.is_active()
-                    && self.hosts[v.location.0 as usize].role == HostRole::Consolidation
+        let ready: Vec<usize> = (0..vms.len())
+            .filter(|&i| {
+                !vms[i].partial
+                    && !vms[i].state.is_active()
+                    && self.view.hosts[vms[i].location.0 as usize].role == HostRole::Consolidation
             })
-            .map(|(vi, _)| vi)
             .collect();
         if self.exchange_ready != ready {
             return Err(format!("exchange_ready {:?} != recount {ready:?}", self.exchange_ready));
         }
-        for (h, away) in self.away_from_home.iter().enumerate() {
-            let host = self.hosts[h].id;
-            let want: Vec<usize> = self
-                .vms
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.home == host && v.location != host)
-                .map(|(i, _)| i)
-                .collect();
-            if *away != want {
-                return Err(format!("host {h}: away index {away:?} != recount {want:?}"));
-            }
-        }
-        let partial_set: Vec<usize> =
-            self.vms.iter().enumerate().filter(|(_, v)| v.partial).map(|(i, _)| i).collect();
+        let partial_set: Vec<usize> = (0..vms.len()).filter(|&i| vms[i].partial).collect();
         if self.partials != partial_set {
             return Err(format!("partial index {:?} != recount {partial_set:?}", self.partials));
-        }
-        Ok(())
-    }
-
-    /// Compares the incrementally maintained planning view against a
-    /// from-scratch [`Self::snapshot`], including the `host_demand`
-    /// aggregate. Test-only, like the index recount above.
-    #[cfg(test)]
-    fn verify_view(&mut self, now: SimTime) -> Result<(), String> {
-        self.refresh_vacatable(now);
-        let want = self.snapshot(now);
-        let got = format!("{:?}", self.view);
-        let expect = format!("{want:?}");
-        if got != expect {
-            return Err(format!("maintained view drifted:\n got {got}\nwant {expect}"));
         }
         Ok(())
     }
@@ -1340,9 +1282,15 @@ impl ClusterSim {
     }
 
     /// The per-host effective capacity the capacity-exhaustion sweep
-    /// currently holds consolidation hosts to.
+    /// currently holds consolidation hosts to: the configured capacity
+    /// until the datacenter epoch planner moves it (via
+    /// [`Self::set_cons_capacity`]). A rack without consolidation hosts
+    /// never receives a grant, so it reads the configured value.
     pub(crate) fn cons_capacity(&self) -> ByteSize {
-        self.cons_capacity
+        match self.cons_hosts.first() {
+            Some(h) => self.view.hosts[h.0 as usize].capacity,
+            None => self.cfg.effective_capacity(),
+        }
     }
 
     /// Total VM demand currently resident on consolidation hosts — the
@@ -1358,59 +1306,12 @@ impl ClusterSim {
     }
 
     /// Applies an epoch planner grant: moves the consolidation hosts'
-    /// effective capacity to `per_host` and mirrors it into the
-    /// maintained planning view. Only the datacenter shard driver calls
-    /// this, between epoch barriers; a run that never calls it is
-    /// byte-identical to one built without the knob.
+    /// effective capacity to `per_host`. Only the datacenter shard driver
+    /// calls this, between epoch barriers.
     pub(crate) fn set_cons_capacity(&mut self, per_host: ByteSize) {
-        if per_host == self.cons_capacity {
-            return;
-        }
-        self.cons_capacity = per_host;
         for &h in &self.cons_hosts {
             self.view.hosts[h.0 as usize].capacity = per_host;
         }
-    }
-
-    /// Rebuilds a snapshot from scratch. Test-only since the maintained
-    /// [`Self::view`] replaced it on the hot paths; the test suite
-    /// compares the two to prove they can never drift.
-    #[cfg(test)]
-    fn snapshot(&self, now: SimTime) -> ClusterView {
-        let home_capacity = self.cfg.effective_capacity();
-        let mut view = ClusterView {
-            hosts: self
-                .hosts
-                .iter()
-                .map(|h| HostView {
-                    id: h.id,
-                    role: h.role,
-                    powered: h.powered,
-                    vacatable: self.cooldown_until.get(&h.id).is_none_or(|&until| now >= until),
-                    capacity: match h.role {
-                        HostRole::Consolidation => self.cons_capacity,
-                        _ => home_capacity,
-                    },
-                })
-                .collect(),
-            vms: self
-                .vms
-                .iter()
-                .map(|v| VmView {
-                    id: v.id,
-                    home: v.home,
-                    location: v.location,
-                    state: v.state,
-                    allocation: v.allocation,
-                    demand: v.demand,
-                    partial_demand: if v.partial { v.demand } else { v.wss_estimate },
-                    partial: v.partial,
-                })
-                .collect(),
-            host_demand: Vec::new(),
-        };
-        view.rebuild_host_demand();
-        view
     }
 
     /// Brings every VM homed at `home` back to it; wakes the host.
@@ -1440,8 +1341,8 @@ impl ClusterSim {
         // mutates the index as it goes.
         let member_ids: Vec<usize> = self.away_from_home[home.0 as usize].clone();
         for i in member_ids {
-            let (partial, since) = (self.vms[i].partial, self.vms[i].consolidated_since);
-            let from = self.vms[i].location;
+            let VmView { id, location: from, allocation, partial, .. } = self.view.vms[i];
+            let since = self.vms[i].consolidated_since;
             let (kind, moved, downtime) = if partial {
                 let minutes =
                     since.map(|s| now.saturating_since(s).as_secs_f64() / 60.0).unwrap_or(0.0);
@@ -1453,13 +1354,13 @@ impl ClusterSim {
             } else {
                 // A full VM homed here but consolidated elsewhere returns
                 // by full migration.
-                let moved = self.vms[i].allocation.mul_f64(1.15);
+                let moved = allocation.mul_f64(1.15);
                 self.traffic.record(TrafficClass::FullMigration, moved);
                 work += self.stretch_secs(self.cfg.full_migration_time.as_secs_f64());
                 (MigrationKind::Full, moved, self.stretch(self.cfg.full_migration_time))
             };
             self.telemetry.emit(Event::MigrationCompleted {
-                vm: self.vms[i].id.0,
+                vm: id.0,
                 from: from.0,
                 to: home.0,
                 kind,
@@ -1468,9 +1369,7 @@ impl ClusterSim {
                 decision,
             });
             self.move_vm_to(i, home);
-            self.set_vm_partial(i, false);
-            self.set_vm_demand(i, self.vms[i].allocation);
-            self.vms[i].consolidated_since = None;
+            self.make_full(i);
         }
         self.counts.returns_home += 1;
         Ok((work, wake_extra))
@@ -1480,10 +1379,10 @@ impl ClusterSim {
     fn apply_trace(&mut self, interval: usize, now: SimTime) {
         self.reintegration_queue.clear();
         self.promote_queue.clear();
-        for vi in 0..self.vms.len() {
+        for vi in 0..self.view.vms.len() {
             let desired =
                 if self.users[vi].is_active(interval) { VmState::Active } else { VmState::Idle };
-            if desired != self.vms[vi].state {
+            if desired != self.view.vms[vi].state {
                 self.apply_transition(vi, desired, now);
             }
         }
@@ -1498,20 +1397,17 @@ impl ClusterSim {
         }
         // Idle → active transition.
         self.set_vm_state(vi, VmState::Active);
-        if !self.vms[vi].partial {
+        if !self.view.vms[vi].partial {
             // Full VM (at home or consolidated in full): zero delay.
             self.delays.record(0.0);
             return;
         }
         self.refresh_vacatable(now);
-        let vm_id = self.vms[vi].id;
+        let vm_id = self.view.vms[vi].id;
         match self.manager.handle_activation(&self.view, vm_id) {
             Some(ActivationDecision::PromoteInPlace { .. }) => {
                 self.decisions.promote_in_place += 1;
-                let remaining = self.vms[vi].allocation - self.vms[vi].demand;
-                self.traffic.record(TrafficClass::DemandFetch, remaining.mul_f64(COMPRESS_RATIO));
-                self.set_vm_partial(vi, false);
-                self.set_vm_demand(vi, self.vms[vi].allocation);
+                self.promote_in_place(vi);
                 // The paper says the consolidation host "becomes the
                 // VM's new home"; we keep the *home binding* on the
                 // original compute host because only that host has a
@@ -1519,13 +1415,12 @@ impl ClusterSim {
                 // the consolidation host's memory server is never
                 // powered (§5.1). Ownership of control transfers; the
                 // home association does not. See DESIGN.md.
-                self.vms[vi].consolidated_since = None;
                 self.counts.promotions += 1;
                 // The user waits for the partial-VM resume; during a
                 // resume storm, concurrent promotions on the same
                 // host share its NIC, so each queue position adds the
                 // transfer share of the resume latency.
-                let location = self.vms[vi].location;
+                let location = self.view.vms[vi].location;
                 let slot = self.promote_queue.entry(location).or_insert(0);
                 let queued = *slot;
                 *slot += 1;
@@ -1540,12 +1435,10 @@ impl ClusterSim {
                     Ok(extra) => {
                         self.traffic.record(
                             TrafficClass::FullMigration,
-                            self.vms[vi].allocation.mul_f64(1.15),
+                            self.view.vms[vi].allocation.mul_f64(1.15),
                         );
                         self.move_vm_to(vi, destination);
-                        self.set_vm_partial(vi, false);
-                        self.set_vm_demand(vi, self.vms[vi].allocation);
-                        self.vms[vi].consolidated_since = None;
+                        self.make_full(vi);
                         self.counts.relocations += 1;
                         let full = self.stretch_secs(self.cfg.full_migration_time.as_secs_f64());
                         self.delays.record(full + extra);
@@ -1562,7 +1455,7 @@ impl ClusterSim {
             Some(ActivationDecision::ReturnHome { home, .. }) => {
                 self.decisions.return_home += 1;
                 let decision = self.manager.last_decision_id();
-                let was_asleep = !self.hosts[self.host_index(home)].powered;
+                let was_asleep = !self.view.hosts[self.host_index(home)].powered;
                 let slot = self.reintegration_queue.entry(home).or_insert(0);
                 let queued = *slot;
                 *slot += 1;
@@ -1639,7 +1532,7 @@ impl ClusterSim {
                     self.decisions.consolidate += 1;
                     let vi = order.vm.0 as usize;
                     // Skip stale orders (state changed since the snapshot).
-                    if self.vms[vi].location != source {
+                    if self.view.vms[vi].location != source {
                         continue;
                     }
                     let kind = match order.kind {
@@ -1648,8 +1541,8 @@ impl ClusterSim {
                         // it degrades to a full migration so the replica
                         // never depends on a crashed daemon.
                         MigrationType::Partial
-                            if !self.vms[vi].partial
-                                && self.ms_down.contains(&self.vms[vi].home) =>
+                            if !self.view.vms[vi].partial
+                                && self.ms_down.contains(&self.view.vms[vi].home) =>
                         {
                             self.fault_counts.degraded_to_full += 1;
                             MigrationType::Full
@@ -1704,7 +1597,7 @@ impl ClusterSim {
                         }
                     }
                     let (moved, downtime) = match kind {
-                        MigrationType::Partial if self.vms[vi].partial => {
+                        MigrationType::Partial if self.view.vms[vi].partial => {
                             // Drain relocation: the partial replica moves
                             // between consolidation hosts; its memory
                             // server (at its home) is untouched, only the
@@ -1713,9 +1606,9 @@ impl ClusterSim {
                                 TrafficClass::PartialDescriptor,
                                 oasis_migration::partial::DESCRIPTOR_BYTES,
                             );
-                            self.traffic.record(TrafficClass::Reintegration, self.vms[vi].demand);
-                            let moved =
-                                oasis_migration::partial::DESCRIPTOR_BYTES + self.vms[vi].demand;
+                            let demand = self.view.vms[vi].demand;
+                            self.traffic.record(TrafficClass::Reintegration, demand);
+                            let moved = oasis_migration::partial::DESCRIPTOR_BYTES + demand;
                             self.move_vm_to(vi, order.destination);
                             busy[source.0 as usize] +=
                                 self.stretch_secs(self.cfg.reintegration_time.as_secs_f64());
@@ -1723,35 +1616,7 @@ impl ClusterSim {
                             (moved, self.stretch(self.cfg.reintegration_time))
                         }
                         MigrationType::Partial => {
-                            let class = self.vms[vi].class;
-                            let wss = sample_class_wss(
-                                class,
-                                &self.wss_dist,
-                                self.vms[vi].allocation,
-                                &mut self.rng,
-                            );
-                            let upload = if self.vms[vi].uploaded_once {
-                                DIFF_UPLOAD.mul_f64(upload_scale(class))
-                            } else {
-                                FIRST_UPLOAD.mul_f64(upload_scale(class))
-                            };
-                            self.traffic.record(TrafficClass::MemServerUpload, upload);
-                            self.traffic.record(
-                                TrafficClass::PartialDescriptor,
-                                oasis_migration::partial::DESCRIPTOR_BYTES,
-                            );
-                            let growth_cap = ByteSize::from_mib_f64(
-                                class.idle_model().growth_per_min.as_mib_f64()
-                                    * WSS_GROWTH_WINDOW.as_secs_f64()
-                                    / 60.0,
-                            );
-                            self.move_vm_to(vi, order.destination);
-                            self.set_vm_partial(vi, true);
-                            self.set_vm_demand(vi, wss);
-                            let vm = &mut self.vms[vi];
-                            vm.wss_cap = wss + growth_cap;
-                            vm.consolidated_since = Some(now);
-                            vm.uploaded_once = true;
+                            let upload = self.consolidate_partial(vi, order.destination, now);
                             busy[source.0 as usize] +=
                                 self.stretch_secs(self.cfg.partial_migration_time.as_secs_f64());
                             self.counts.partial += 1;
@@ -1761,12 +1626,10 @@ impl ClusterSim {
                             )
                         }
                         MigrationType::Full => {
-                            let moved = self.vms[vi].allocation.mul_f64(1.15);
+                            let moved = self.view.vms[vi].allocation.mul_f64(1.15);
                             self.traffic.record(TrafficClass::FullMigration, moved);
-                            self.set_vm_partial(vi, false);
                             self.move_vm_to(vi, order.destination);
-                            self.set_vm_demand(vi, self.vms[vi].allocation);
-                            self.vms[vi].consolidated_since = Some(now);
+                            self.make_full(vi);
                             busy[source.0 as usize] +=
                                 self.stretch_secs(self.cfg.full_migration_time.as_secs_f64());
                             self.counts.full += 1;
@@ -1786,7 +1649,7 @@ impl ClusterSim {
                 PlannedAction::Exchange { vm, home, consolidation } => {
                     self.decisions.exchange += 1;
                     let vi = vm.0 as usize;
-                    if self.vms[vi].location != consolidation || self.vms[vi].partial {
+                    if self.view.vms[vi].location != consolidation || self.view.vms[vi].partial {
                         continue;
                     }
                     let hi = self.host_index(home);
@@ -1795,7 +1658,7 @@ impl ClusterSim {
                     // faulted the order is abandoned and the VM stays full
                     // on the consolidation host until the next plan.
                     if self.ms_down.contains(&home)
-                        || (!self.hosts[hi].powered
+                        || (!self.view.hosts[hi].powered
                             && self.cfg.faults.wake_failure(home.0, now).is_some())
                     {
                         self.fault_counts.migrations_aborted += 1;
@@ -1821,7 +1684,7 @@ impl ClusterSim {
                         self.cfg.full_migration_time.as_secs_f64()
                             + self.cfg.partial_migration_time.as_secs_f64(),
                     );
-                    if self.hosts[hi].powered {
+                    if self.view.hosts[hi].powered {
                         // Home happens to be awake: the exchange is plain
                         // work on a powered host.
                     } else {
@@ -1834,36 +1697,9 @@ impl ClusterSim {
                         self.telemetry.emit(Event::HostResumed { host: home.0 });
                         self.telemetry.emit(Event::HostSuspended { host: home.0 });
                     }
-                    let full_bytes = self.vms[vi].allocation.mul_f64(1.15);
+                    let full_bytes = self.view.vms[vi].allocation.mul_f64(1.15);
                     self.traffic.record(TrafficClass::FullMigration, full_bytes);
-                    let class = self.vms[vi].class;
-                    let upload = if self.vms[vi].uploaded_once {
-                        DIFF_UPLOAD.mul_f64(upload_scale(class))
-                    } else {
-                        FIRST_UPLOAD.mul_f64(upload_scale(class))
-                    };
-                    self.traffic.record(TrafficClass::MemServerUpload, upload);
-                    self.traffic.record(
-                        TrafficClass::PartialDescriptor,
-                        oasis_migration::partial::DESCRIPTOR_BYTES,
-                    );
-                    let wss = sample_class_wss(
-                        class,
-                        &self.wss_dist,
-                        self.vms[vi].allocation,
-                        &mut self.rng,
-                    );
-                    let growth_cap = ByteSize::from_mib_f64(
-                        class.idle_model().growth_per_min.as_mib_f64()
-                            * WSS_GROWTH_WINDOW.as_secs_f64()
-                            / 60.0,
-                    );
-                    self.set_vm_partial(vi, true);
-                    self.set_vm_demand(vi, wss);
-                    let sim_vm = &mut self.vms[vi];
-                    sim_vm.wss_cap = wss + growth_cap;
-                    sim_vm.consolidated_since = Some(now);
-                    sim_vm.uploaded_once = true;
+                    let upload = self.consolidate_partial(vi, consolidation, now);
                     self.counts.exchanges += 1;
                     self.telemetry.emit(Event::MigrationCompleted {
                         vm: vm.0,
@@ -1883,7 +1719,7 @@ impl ClusterSim {
 
         // Sources drained of all VMs sleep after their serialized work.
         for (h, &serialized) in busy.iter().enumerate() {
-            if self.hosts[h].powered && self.residency[h].vms.is_empty() {
+            if self.view.hosts[h].powered && self.residency[h].vms.is_empty() {
                 let offset = serialized.min(INTERVAL_SECS);
                 self.set_host_power(h, offset, false);
             }
@@ -1901,13 +1737,14 @@ impl ClusterSim {
         // defensive clone this loop used to take every interval).
         for pi in 0..self.partials.len() {
             let vi = self.partials[pi];
-            debug_assert!(self.vms[vi].partial);
+            let demand = self.view.vms[vi].demand;
+            debug_assert!(self.view.vms[vi].partial);
             let vm = &self.vms[vi];
             let growth_per_interval = self.growth_quantum[class_idx(vm.class)];
-            let headroom = vm.wss_cap.saturating_sub(vm.demand);
+            let headroom = vm.wss_cap.saturating_sub(demand);
             let growth = growth_per_interval.min(headroom);
             if !growth.is_zero() {
-                self.set_vm_demand(vi, self.vms[vi].demand + growth);
+                self.set_vm_demand(vi, demand + growth);
                 fetched += growth.mul_f64(COMPRESS_RATIO);
             }
         }
@@ -1917,9 +1754,9 @@ impl ClusterSim {
 
         // Capacity exhaustion (§3.2): the host wakes the requesting VM's
         // home and returns all of that home's VMs.
-        let capacity = self.cons_capacity;
         for ci in 0..self.cons_hosts.len() {
             let host = self.cons_hosts[ci];
+            let capacity = self.view.hosts[host.0 as usize].capacity;
             if self.demand_on(host) <= capacity {
                 continue;
             }
@@ -1929,16 +1766,19 @@ impl ClusterSim {
             // loop (return_home and relocate only move VMs away), so one
             // ranking replaces the per-iteration rescan of `vms_on`;
             // departed or promoted VMs are skipped at pop time.
+            let vms = &self.view.vms;
             let mut candidates: Vec<usize> =
-                self.vms_on(host).filter(|&i| self.vms[i].partial).collect();
-            candidates.sort_by_key(|&i| (self.vms[i].demand, self.vms[i].id));
+                self.vms_on(host).filter(|&i| vms[i].partial).collect();
+            candidates.sort_by_key(|&i| (vms[i].demand, vms[i].id));
             let mut guard = 0;
             while self.demand_on(host) > capacity && guard < 1_000 {
                 guard += 1;
                 // The largest partial VM still resident is the requester.
                 let victim = loop {
                     match candidates.pop() {
-                        Some(i) if self.vms[i].location == host && self.vms[i].partial => {
+                        Some(i)
+                            if self.view.vms[i].location == host && self.view.vms[i].partial =>
+                        {
                             break Some(i)
                         }
                         Some(_) => continue,
@@ -1947,7 +1787,7 @@ impl ClusterSim {
                 };
                 match victim {
                     Some(vi) => {
-                        let home = self.vms[vi].home;
+                        let home = self.view.vms[vi].home;
                         self.telemetry.emit(Event::CapacityExhausted { host: host.0 });
                         // Evicting the requester's home-group is a shed
                         // decision the simulator takes on its own.
@@ -1956,7 +1796,7 @@ impl ClusterSim {
                         self.telemetry.emit(Event::DecisionMade {
                             decision,
                             class: DecisionClass::Shed,
-                            vm: self.vms[vi].id.0,
+                            vm: self.view.vms[vi].id.0,
                             target: home.0,
                             candidates: 1,
                         });
@@ -1979,7 +1819,7 @@ impl ClusterSim {
     /// Puts hosts drained outside planning (ReturnHome) to sleep.
     fn sleep_empty_hosts(&mut self) {
         for h in 0..self.hosts.len() {
-            if self.hosts[h].powered && self.residency[h].vms.is_empty() {
+            if self.view.hosts[h].powered && self.residency[h].vms.is_empty() {
                 self.set_host_power(h, INTERVAL_SECS * 0.5, false);
             }
         }
@@ -1990,11 +1830,11 @@ impl ClusterSim {
         // Summing the index-maintained per-host counts equals a recount
         // of the VM vector (locked by `verify_indices`), without the
         // O(VMs) scan per interval.
-        let active: usize = self.residency.iter().map(|r| r.active).sum();
+        let active: usize = self.residency.iter().map(|r| r.active_vms.len()).sum();
         self.series_active.record(now, active as f64);
-        let powered = self.hosts.iter().filter(|h| h.powered).count();
+        let powered = self.view.hosts.iter().filter(|h| h.powered).count();
         self.series_powered.record(now, powered as f64);
-        for h in &self.hosts {
+        for h in &self.view.hosts {
             if h.role == HostRole::Consolidation && h.powered {
                 let n = self.residency[h.id.0 as usize].vms.len();
                 if n > 0 {
@@ -2014,11 +1854,10 @@ impl ClusterSim {
         }
         let ms_watts = self.cfg.memserver.active_watts;
         for h in 0..self.hosts.len() {
-            let p = self.cfg.host_profile_of(self.hosts[h].id.0);
-            let id = self.hosts[h].id;
-            let role = self.hosts[h].role;
+            let HostView { id, role, powered, .. } = self.view.hosts[h];
+            let p = self.cfg.host_profile_of(id.0);
             let active = self.active_on(id);
-            let awake = self.hosts[h].end_interval();
+            let awake = self.hosts[h].end_interval(powered);
             let suspends = f64::from(self.hosts[h].suspends);
             let resumes = f64::from(self.hosts[h].resumes);
             let transit =
@@ -2068,8 +1907,8 @@ impl ClusterSim {
         }
         self.quiescence.intervals += 1;
         self.quiescence.host_intervals += self.hosts.len() as u64;
-        self.quiescence.vm_intervals += self.vms.len() as u64;
-        self.quiescence.vm_quiescent += (self.vms.len() - self.dirty_vm_count) as u64;
+        self.quiescence.vm_intervals += self.view.vms.len() as u64;
+        self.quiescence.vm_quiescent += (self.view.vms.len() - self.dirty_vm_count) as u64;
         // Baseline: home hosts powered all day, VMs in place. Each home
         // is charged its own generation's profile (a homogeneous fleet
         // reads identical values, so the f64 fold is unchanged).
@@ -2097,14 +1936,14 @@ impl ClusterSim {
         let count = self.residency[h].active_vms.len() as u64;
         for idx in 0..self.residency[h].active_vms.len() {
             let vi = self.residency[h].active_vms[idx];
-            debug_assert!(self.vms[vi].state.is_active());
-            weight_sum += u128::from(self.vms[vi].demand.as_bytes());
+            debug_assert!(self.view.vms[vi].state.is_active());
+            weight_sum += u128::from(self.view.vms[vi].demand.as_bytes());
         }
         let Some(&first) = self.residency[h].active_vms.first() else { return };
         let mut assigned = 0u64;
         for idx in 0..self.residency[h].active_vms.len() {
             let vi = self.residency[h].active_vms[idx];
-            let w = u128::from(self.vms[vi].demand.as_bytes());
+            let w = u128::from(self.view.vms[vi].demand.as_bytes());
             // Zero total demand degrades to an equal split.
             let share = match (u128::from(active_mj) * w).checked_div(weight_sum) {
                 Some(s) => s as u64,
@@ -2178,6 +2017,7 @@ impl ClusterSim {
         // flush; the caller that owns the sink checks it after the day.
         let _ = self.telemetry.flush();
         let placements = self
+            .view
             .vms
             .iter()
             .map(|v| VmPlacement {
@@ -2212,6 +2052,7 @@ impl ClusterSim {
             energy: EnergyLedger {
                 hosts: self.host_energy,
                 vms: self
+                    .view
                     .vms
                     .iter()
                     .enumerate()
@@ -2230,58 +2071,44 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
 
-    fn host() -> SimHost {
-        SimHost {
-            id: HostId(0),
-            role: HostRole::Compute,
-            powered: true,
-            awake_secs: 0.0,
-            last_on_offset: 0.0,
-            suspends: 0,
-            resumes: 0,
-        }
-    }
-
     #[test]
     fn timeline_full_interval_powered() {
-        let mut h = host();
+        let mut h = SimHost::default();
         h.begin_interval();
-        assert_eq!(h.end_interval(), INTERVAL_SECS);
+        assert_eq!(h.end_interval(true), INTERVAL_SECS);
         assert_eq!(h.suspends, 0);
         assert_eq!(h.resumes, 0);
     }
 
     #[test]
     fn timeline_sleep_mid_interval() {
-        let mut h = host();
+        let mut h = SimHost::default();
         h.begin_interval();
-        h.set_power(120.0, false);
-        assert_eq!(h.end_interval(), 120.0);
+        h.set_power(true, 120.0, false);
+        assert_eq!(h.end_interval(false), 120.0);
         assert_eq!(h.suspends, 1);
         // The next interval is fully asleep.
         h.begin_interval();
-        assert_eq!(h.end_interval(), 0.0);
+        assert_eq!(h.end_interval(false), 0.0);
     }
 
     #[test]
     fn timeline_wake_mid_interval() {
-        let mut h = host();
-        h.powered = false;
+        let mut h = SimHost::default();
         h.begin_interval();
-        h.set_power(200.0, true);
-        assert_eq!(h.end_interval(), 100.0);
+        h.set_power(false, 200.0, true);
+        assert_eq!(h.end_interval(true), 100.0);
         assert_eq!(h.resumes, 1);
     }
 
     #[test]
     fn timeline_bounce_within_interval() {
-        let mut h = host();
-        h.powered = false;
+        let mut h = SimHost::default();
         h.begin_interval();
-        h.set_power(50.0, true);
-        h.set_power(80.0, false);
-        h.set_power(200.0, true);
-        let awake = h.end_interval();
+        h.set_power(false, 50.0, true);
+        h.set_power(true, 80.0, false);
+        h.set_power(false, 200.0, true);
+        let awake = h.end_interval(true);
         assert!((awake - (30.0 + 100.0)).abs() < 1e-9, "awake {awake}");
         assert_eq!(h.resumes, 2);
         assert_eq!(h.suspends, 1);
@@ -2289,32 +2116,29 @@ mod tests {
 
     #[test]
     fn timeline_redundant_set_power_is_noop() {
-        let mut h = host();
+        let mut h = SimHost::default();
         h.begin_interval();
-        h.set_power(10.0, true);
+        h.set_power(true, 10.0, true);
         assert_eq!(h.suspends + h.resumes, 0);
-        assert_eq!(h.end_interval(), INTERVAL_SECS);
+        assert_eq!(h.end_interval(true), INTERVAL_SECS);
     }
 
     #[test]
     fn temporary_episode_counts_transitions() {
-        let mut h = host();
-        h.powered = false;
+        let mut h = SimHost::default();
         h.begin_interval();
         h.temporary_episode(17.2);
-        assert_eq!(h.end_interval(), 17.2);
+        assert_eq!(h.end_interval(false), 17.2);
         assert_eq!(h.suspends, 1);
         assert_eq!(h.resumes, 1);
-        assert!(!h.powered, "the host is asleep again afterwards");
     }
 
     #[test]
     fn awake_capped_at_interval_length() {
-        let mut h = host();
-        h.powered = false;
+        let mut h = SimHost::default();
         h.begin_interval();
         h.temporary_episode(500.0);
-        assert_eq!(h.end_interval(), INTERVAL_SECS);
+        assert_eq!(h.end_interval(false), INTERVAL_SECS);
     }
 
     fn tiny_sim() -> ClusterSim {
@@ -2340,7 +2164,7 @@ mod tests {
     #[test]
     fn snapshot_reflects_initial_state() {
         let sim = tiny_sim();
-        let view = sim.snapshot(SimTime::ZERO);
+        let view = &sim.view;
         assert_eq!(view.hosts.len(), 3);
         assert_eq!(view.vms.len(), 6);
         assert_eq!(view.hosts.iter().filter(|h| h.powered).count(), 2, "consolidation host sleeps");
@@ -2359,19 +2183,19 @@ mod tests {
         for vi in 0..3 {
             consolidate(&mut sim, vi, cons, ByteSize::mib(165));
         }
-        sim.hosts[0].set_power(0.0, false);
-        sim.hosts[2].set_power(0.0, true);
+        sim.set_host_power(0, 0.0, false);
+        sim.set_host_power(2, 0.0, true);
 
         let (work, wake_extra) = sim
             .return_home(HostId(0), SimTime::from_secs(600), 0)
             .expect("no wake faults scheduled");
         assert!(work > 0.0);
         assert_eq!(wake_extra, 0.0);
-        assert!(sim.hosts[0].powered, "home woke");
+        assert!(sim.view.hosts[0].powered, "home woke");
         for vi in 0..3 {
-            assert_eq!(sim.vms[vi].location, HostId(0));
-            assert!(!sim.vms[vi].partial);
-            assert_eq!(sim.vms[vi].demand, sim.vms[vi].allocation);
+            assert_eq!(sim.view.vms[vi].location, HostId(0));
+            assert!(!sim.view.vms[vi].partial);
+            assert_eq!(sim.view.vms[vi].demand, sim.view.vms[vi].allocation);
         }
         assert_eq!(sim.counts.returns_home, 1);
         assert!(sim.traffic.total(TrafficClass::Reintegration).as_bytes() > 0);
@@ -2395,17 +2219,17 @@ mod tests {
             .build()
             .expect("valid configuration");
         let mut sim = ClusterSim::new(cfg);
-        sim.hosts[0].set_power(0.0, false);
+        sim.set_host_power(0, 0.0, false);
         // Inside the window the recovery budget (< 40 s) cannot outlast
         // the two-hour fault: the wake is abandoned, the host sleeps on.
         assert!(sim.try_wake(0, 0.0, SimTime::from_secs(600), 0).is_err());
-        assert!(!sim.hosts[0].powered);
+        assert!(!sim.view.hosts[0].powered);
         assert_eq!(sim.fault_counts.wake_failures, 1);
         assert_eq!(sim.fault_counts.wake_exhausted, 1);
         assert!(sim.fault_counts.wake_retries > 0);
         // Past the window the wake is clean.
         assert_eq!(sim.try_wake(0, 0.0, SimTime::from_secs(3 * 3600), 0), Ok(0.0));
-        assert!(sim.hosts[0].powered);
+        assert!(sim.view.hosts[0].powered);
     }
 
     #[test]
@@ -2426,9 +2250,9 @@ mod tests {
             .build()
             .expect("valid configuration");
         let mut sim = ClusterSim::new(cfg);
-        sim.hosts[0].set_power(0.0, false);
+        sim.set_host_power(0, 0.0, false);
         assert_eq!(sim.try_wake(0, 0.0, SimTime::from_secs(600), 0), Ok(45.0));
-        assert!(sim.hosts[0].powered, "a delayed wake still succeeds");
+        assert!(sim.view.hosts[0].powered, "a delayed wake still succeeds");
         assert_eq!(sim.fault_counts.wake_delays, 1);
         assert_eq!(sim.fault_counts.wake_failures, 0);
     }
@@ -2455,13 +2279,13 @@ mod tests {
         for vi in 0..3 {
             consolidate(&mut sim, vi, cons, ByteSize::mib(165));
         }
-        sim.hosts[0].set_power(0.0, false);
-        sim.hosts[2].set_power(0.0, true);
+        sim.set_host_power(0, 0.0, false);
+        sim.set_host_power(2, 0.0, true);
         assert!(sim.return_home(HostId(0), SimTime::from_secs(600), 0).is_err());
-        assert!(!sim.hosts[0].powered, "home still asleep");
+        assert!(!sim.view.hosts[0].powered, "home still asleep");
         for vi in 0..3 {
-            assert_eq!(sim.vms[vi].location, cons, "no VM moved");
-            assert!(sim.vms[vi].partial);
+            assert_eq!(sim.view.vms[vi].location, cons, "no VM moved");
+            assert!(sim.view.vms[vi].partial);
         }
         assert_eq!(sim.counts.returns_home, 0);
     }
@@ -2493,8 +2317,8 @@ mod tests {
         assert_eq!(sim.fault_counts.memserver_crashes, 1);
         assert_eq!(sim.fault_counts.rehomed_vms, 3);
         for vi in 0..3 {
-            assert!(!sim.vms[vi].partial, "orphan promoted to full");
-            assert_eq!(sim.vms[vi].demand, sim.vms[vi].allocation);
+            assert!(!sim.view.vms[vi].partial, "orphan promoted to full");
+            assert_eq!(sim.view.vms[vi].demand, sim.view.vms[vi].allocation);
         }
         // The crash window ends: the next boundary announces the restart.
         sim.apply_faults(SimTime::from_secs(600 + 3700));
@@ -2558,7 +2382,7 @@ mod tests {
             let mut sim = ClusterSim::new(cfg);
             let mut rng = SimRng::new(0xD1CE ^ seed);
             let hosts = sim.hosts.len();
-            let vms = sim.vms.len();
+            let vms = sim.view.vms.len();
             for op in 0..400 {
                 let vi = rng.index(vms);
                 match rng.below(8) {
@@ -2567,12 +2391,12 @@ mod tests {
                         sim.move_vm_to(vi, dest);
                     }
                     2 => {
-                        let mib = rng.range_f64(16.0, sim.vms[vi].allocation.as_mib_f64());
+                        let mib = rng.range_f64(16.0, sim.view.vms[vi].allocation.as_mib_f64());
                         sim.set_vm_demand(vi, ByteSize::from_mib_f64(mib));
                     }
-                    3 => sim.set_vm_partial(vi, !sim.vms[vi].partial),
+                    3 => sim.set_vm_partial(vi, !sim.view.vms[vi].partial),
                     4 => {
-                        let state = if sim.vms[vi].state.is_active() {
+                        let state = if sim.view.vms[vi].state.is_active() {
                             VmState::Idle
                         } else {
                             VmState::Active
@@ -2599,7 +2423,9 @@ mod tests {
     /// Property: the indices stay consistent across every interval of a
     /// full simulated day under a heavy fault schedule (wake failures,
     /// memory-server crashes, stalls, link degradation all exercise the
-    /// recovery mutation paths).
+    /// recovery mutation paths), and at every planning round the planner
+    /// plans the same actions from its own from-scratch index as from
+    /// the one the simulator maintains.
     #[test]
     fn indices_equal_recount_through_a_faulted_day() {
         for seed in [1u64, 2, 3] {
@@ -2621,13 +2447,20 @@ mod tests {
             let mut sim = ClusterSim::new(cfg);
             let mut next_plan = SimTime::ZERO;
             for interval in 0..INTERVALS_PER_DAY {
+                let now = SimTime::from_secs(interval as u64 * INTERVAL_SECS as u64);
+                if now >= next_plan {
+                    sim.refresh_vacatable(now);
+                    let handoff = ResidencyHandoff {
+                        residency: &sim.residency,
+                        exchange_ready: &sim.exchange_ready,
+                    };
+                    let rebuilt = sim.manager.clone().plan(&sim.view);
+                    let borrowed = sim.manager.clone().plan_with(&sim.view, Some(&handoff));
+                    assert_eq!(rebuilt, borrowed, "seed {seed}, interval {interval}: plans differ");
+                }
                 sim.step_interval(interval, &mut next_plan);
                 sim.verify_indices().unwrap_or_else(|e| {
                     panic!("seed {seed}, interval {interval}: index drifted: {e}")
-                });
-                let now = SimTime::from_secs((interval as u64 + 1) * INTERVAL_SECS as u64);
-                sim.verify_view(now).unwrap_or_else(|e| {
-                    panic!("seed {seed}, interval {interval}: view drifted: {e}")
                 });
             }
         }

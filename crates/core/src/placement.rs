@@ -78,7 +78,7 @@ impl Default for PlannerConfig {
 /// the resident lists preserve VM-vector order exactly.
 enum HostIndex<'a> {
     /// Borrowed from a caller-maintained [`ResidencyIndex`]; nothing is
-    /// rebuilt or allocated per round.
+    /// rebuilt or allocated per round. Demand is read from the view.
     External(&'a dyn ResidencyIndex),
     /// Built from a pass over the VM vector — the path for arbitrary
     /// hand-assembled views.
@@ -91,17 +91,6 @@ enum HostIndex<'a> {
     },
 }
 
-/// Position of `id` in `view.hosts`: O(1) for the `hosts[id]` layout the
-/// simulator builds, falling back to a scan for arbitrary views. Ids are
-/// unique in a well-formed view, so both paths name the same host.
-fn host_pos(view: &ClusterView, id: HostId) -> Option<usize> {
-    let p = id.0 as usize;
-    if view.hosts.get(p).is_some_and(|h| h.id == id) {
-        return Some(p);
-    }
-    view.hosts.iter().position(|h| h.id == id)
-}
-
 impl<'a> HostIndex<'a> {
     fn new(view: &ClusterView, external: Option<&'a dyn ResidencyIndex>) -> Self {
         if let Some(ext) = external {
@@ -110,7 +99,7 @@ impl<'a> HostIndex<'a> {
         let mut demand = vec![ByteSize::ZERO; view.hosts.len()];
         let mut residents = vec![Vec::new(); view.hosts.len()];
         for (vi, vm) in view.vms.iter().enumerate() {
-            if let Some(p) = host_pos(view, vm.location) {
+            if let Some(p) = view.pos(vm.location) {
                 demand[p] += vm.demand;
                 residents[p].push(vi);
             }
@@ -119,12 +108,9 @@ impl<'a> HostIndex<'a> {
     }
 
     fn demand_on(&self, view: &ClusterView, host: HostId) -> ByteSize {
-        match host_pos(view, host) {
-            Some(p) => match self {
-                HostIndex::External(ext) => ext.demand(p),
-                HostIndex::Built { demand, .. } => demand[p],
-            },
-            None => ByteSize::ZERO,
+        match self {
+            HostIndex::External(_) => view.demand_on(host),
+            HostIndex::Built { demand, .. } => view.pos(host).map_or(ByteSize::ZERO, |p| demand[p]),
         }
     }
 
@@ -134,7 +120,7 @@ impl<'a> HostIndex<'a> {
 
     /// Indices into `view.vms` of `host`'s residents, in VM-vector order.
     fn resident_indices(&self, view: &ClusterView, host: HostId) -> &[usize] {
-        match host_pos(view, host) {
+        match view.pos(host) {
             Some(p) => match self {
                 HostIndex::External(ext) => ext.residents(p),
                 HostIndex::Built { residents, .. } => &residents[p],
@@ -144,7 +130,7 @@ impl<'a> HostIndex<'a> {
     }
 
     fn role_of(&self, view: &ClusterView, host: HostId) -> Option<HostRole> {
-        host_pos(view, host).map(|p| view.hosts[p].role)
+        view.pos(host).map(|p| view.hosts[p].role)
     }
 }
 

@@ -80,7 +80,7 @@ impl ClusterView {
     /// Position of `id` in `hosts`: O(1) for the `hosts[id]` layout the
     /// simulator builds, falling back to a scan for arbitrary views. Ids
     /// are unique in a well-formed view, so both paths name the same host.
-    fn pos(&self, id: HostId) -> Option<usize> {
+    pub(crate) fn pos(&self, id: HostId) -> Option<usize> {
         let p = id.0 as usize;
         if self.hosts.get(p).is_some_and(|h| h.id == id) {
             return Some(p);
@@ -164,18 +164,14 @@ impl ClusterView {
 ///
 /// An implementation must agree exactly with a from-scratch pass over
 /// the view's VM vector: `residents(p)` holds the indices of VMs whose
-/// `location` is the host at position `p`, ascending (VM-vector order),
-/// and `demand(p)` their demand sum. Integer demand sums are
-/// order-independent, so an incrementally maintained total is bit-equal
-/// to the scan the planner would otherwise run. The simulator's
-/// residency index (locked by its `verify_indices` recount tests) is
-/// the canonical implementation.
+/// `location` is the host at position `p`, ascending (VM-vector order).
+/// Per-host demand comes from the view itself ([`ClusterView::demand_on`]).
+/// The simulator's residency index (locked by its `verify_indices`
+/// recount tests) is the canonical implementation.
 pub trait ResidencyIndex {
     /// Indices into the view's VM vector of the residents of the host at
     /// position `pos`, ascending.
     fn residents(&self, pos: usize) -> &[usize];
-    /// Total resident demand on the host at position `pos`.
-    fn demand(&self, pos: usize) -> ByteSize;
     /// Ascending VM-vector indices of every full (non-partial) idle VM
     /// currently located on a consolidation host, when tracked. The
     /// exchange pass walks this list instead of the whole VM vector —

@@ -44,7 +44,6 @@ struct OwnerState {
 /// A host's chunked physical-frame allocator.
 #[derive(Clone, Debug)]
 pub struct ChunkAllocator {
-    total_chunks: u64,
     free: Vec<u64>,
     owners: BTreeMap<OwnerId, OwnerState>,
 }
@@ -58,12 +57,7 @@ impl ChunkAllocator {
         // Free list kept in descending order so allocation pops the lowest
         // chunk index first (deterministic and cache-friendly).
         let free: Vec<u64> = (0..total_chunks).rev().collect();
-        ChunkAllocator { total_chunks, free, owners: BTreeMap::new() }
-    }
-
-    /// Total chunks managed.
-    pub fn total_chunks(&self) -> u64 {
-        self.total_chunks
+        ChunkAllocator { free, owners: BTreeMap::new() }
     }
 
     /// Chunks not yet handed to any owner.
@@ -147,7 +141,6 @@ mod tests {
     fn chunk_geometry() {
         assert_eq!(FRAMES_PER_CHUNK, 512);
         let a = ChunkAllocator::new(ByteSize::mib(10));
-        assert_eq!(a.total_chunks(), 5);
         assert_eq!(a.free_chunks(), 5);
     }
 

@@ -187,7 +187,6 @@ pub struct TimeWeighted {
     last_time: SimTime,
     level: f64,
     integral: f64,
-    max_level: f64,
     started: bool,
 }
 
@@ -200,20 +199,13 @@ impl Default for TimeWeighted {
 impl TimeWeighted {
     /// Creates a collector with level 0 at time 0.
     pub fn new() -> Self {
-        TimeWeighted {
-            last_time: SimTime::ZERO,
-            level: 0.0,
-            integral: 0.0,
-            max_level: 0.0,
-            started: false,
-        }
+        TimeWeighted { last_time: SimTime::ZERO, level: 0.0, integral: 0.0, started: false }
     }
 
     /// Sets the level at `now`, accumulating the previous level until then.
     pub fn set(&mut self, now: SimTime, level: f64) {
         self.accumulate(now);
         self.level = level;
-        self.max_level = self.max_level.max(level);
         self.started = true;
     }
 
@@ -229,11 +221,6 @@ impl TimeWeighted {
         self.last_time = self.last_time.max(now);
     }
 
-    /// Current level.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
     /// Integral of the level up to `now` (level × seconds).
     pub fn integral_at(&mut self, now: SimTime) -> f64 {
         self.accumulate(now);
@@ -247,11 +234,6 @@ impl TimeWeighted {
             return self.level;
         }
         self.integral_at(now) / total
-    }
-
-    /// Highest level ever set.
-    pub fn max_level(&self) -> f64 {
-        self.max_level
     }
 }
 
@@ -414,7 +396,6 @@ mod tests {
         // 100 W for 10 s + 50 W for 10 s = 1500 J.
         assert!((tw.integral_at(SimTime::from_secs(20)) - 1_500.0).abs() < 1e-9);
         assert!((tw.average_at(SimTime::from_secs(20)) - 75.0).abs() < 1e-9);
-        assert_eq!(tw.max_level(), 100.0);
     }
 
     #[test]
@@ -422,7 +403,6 @@ mod tests {
         let mut tw = TimeWeighted::new();
         tw.add(SimTime::ZERO, 3.0);
         tw.add(SimTime::from_secs(5), -1.0);
-        assert_eq!(tw.level(), 2.0);
         assert!((tw.integral_at(SimTime::from_secs(10)) - (15.0 + 10.0)).abs() < 1e-9);
     }
 
