@@ -23,6 +23,7 @@ pub mod config;
 pub mod experiments;
 pub mod results;
 pub mod scenarios;
+mod session;
 pub mod shard;
 pub mod sim;
 

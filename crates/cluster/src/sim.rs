@@ -24,7 +24,7 @@ use oasis_core::{
     ActivationDecision, ClusterManager, ClusterView, HostRole, HostView, PlannedAction, VmView,
 };
 use oasis_faults::{Fault, FaultCounts, Reboot, RetryPolicy};
-use oasis_mem::{ByteSize, IdleWssDistribution};
+use oasis_mem::{Bitmap, ByteSize, IdleWssDistribution};
 use oasis_migration::recovery::with_retries;
 use oasis_migration::MigrationType;
 use oasis_net::{TrafficAccountant, TrafficClass};
@@ -41,6 +41,7 @@ use oasis_vm::{HostId, VmId, VmState};
 
 use crate::config::ClusterConfig;
 use crate::results::{DecisionCounts, MigrationCounts, SimReport, VmPlacement};
+use crate::session::SessionEdges;
 
 /// Interval length in seconds (5-minute trace intervals).
 pub(crate) const INTERVAL_SECS: f64 = 300.0;
@@ -171,42 +172,27 @@ pub(crate) struct SimVm {
 
 /// Incrementally maintained per-host residency index.
 ///
-/// The resident lists are updated at every placement/state mutation
-/// instead of being rescanned from the VM records each interval, and are
-/// kept in ascending VM-index order so every consumer observes exactly
-/// the order a full scan produces — byte-identical results are part of
-/// the contract, not an accident. The residents' demand sum is the
-/// view's `host_demand`.
-#[derive(Clone, Debug, Default)]
+/// The resident sets are updated at every placement/state mutation
+/// instead of being rescanned from the VM records each interval. They
+/// are bitsets over VM index: a move or state change is O(1), the
+/// resident count is O(1), and iteration is ascending VM-index order, so
+/// every consumer observes exactly the order a full scan produces —
+/// byte-identical results are part of the contract, not an accident.
+/// The residents' demand sum is the view's `host_demand`.
+#[derive(Clone, Debug)]
 pub(crate) struct Residency {
-    /// Indices into the VM vector of the VMs resident on this host,
-    /// ascending.
-    pub(crate) vms: Vec<usize>,
-    /// Indices of the active residents, ascending — the subsequence of
-    /// `vms` the attribution split visits, kept so that split never
-    /// walks a host's (possibly hundreds of) idle residents to find the
-    /// handful of active ones.
-    pub(crate) active_vms: Vec<usize>,
+    /// The VMs resident on this host, by index into the VM vector.
+    pub(crate) vms: Bitmap,
+    /// The active residents — the subset of `vms` the attribution split
+    /// visits, kept so that split never walks a host's (possibly
+    /// hundreds of) idle residents to find the handful of active ones.
+    pub(crate) active_vms: Bitmap,
 }
 
 impl Residency {
-    /// Adds `vi` to the sorted active-resident list.
-    fn active_insert(&mut self, vi: usize) {
-        if let Err(pos) = self.active_vms.binary_search(&vi) {
-            self.active_vms.insert(pos, vi);
-        } else {
-            debug_assert!(false, "vm {vi} already in active index");
-        }
-    }
-
-    /// Removes `vi` from the sorted active-resident list.
-    fn active_remove(&mut self, vi: usize) {
-        match self.active_vms.binary_search(&vi) {
-            Ok(pos) => {
-                self.active_vms.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "vm {vi} missing from active index"),
-        }
+    /// An empty index over `vms` VM indices.
+    fn new(vms: usize) -> Self {
+        Residency { vms: Bitmap::new(vms), active_vms: Bitmap::new(vms) }
     }
 }
 
@@ -216,15 +202,15 @@ impl Residency {
 /// to the [`oasis_core::ResidencyIndex`] contract.
 struct ResidencyHandoff<'a> {
     residency: &'a [Residency],
-    exchange_ready: &'a [usize],
+    exchange_ready: &'a Bitmap,
 }
 
 impl oasis_core::ResidencyIndex for ResidencyHandoff<'_> {
-    fn residents(&self, pos: usize) -> &[usize] {
+    fn residents(&self, pos: usize) -> &Bitmap {
         &self.residency[pos].vms
     }
 
-    fn full_idle_consolidated(&self) -> Option<&[usize]> {
+    fn full_idle_consolidated(&self) -> Option<&Bitmap> {
         Some(self.exchange_ready)
     }
 }
@@ -250,7 +236,9 @@ pub struct ClusterSim {
     /// Per-host count of partial VMs homed there but located elsewhere
     /// (their memory server must stay powered while the host sleeps).
     pub(crate) home_partials: Vec<u32>,
-    pub(crate) users: Vec<UserDay>,
+    /// The sampled trace as per-interval session edges, with the trace's
+    /// running active counts.
+    session: SessionEdges,
     pub(crate) wss_dist: IdleWssDistribution,
     pub(crate) traffic: TrafficAccountant,
     pub(crate) delays: Cdf,
@@ -289,23 +277,37 @@ pub struct ClusterSim {
     /// Per-host "mutated this interval" flags for the quiescence ledger,
     /// parallel to `hosts`; cleared at every interval boundary.
     pub(crate) dirty_hosts: Vec<bool>,
-    /// Per-VM mutation flags, parallel to `vms`.
-    pub(crate) dirty_vms: Vec<bool>,
-    /// Count of set flags in `dirty_vms`, so the per-interval quiescence
-    /// tally never rescans the flag vector.
+    /// Per-VM mutation stamps, parallel to `vms`: a VM was mutated this
+    /// interval when its stamp equals `dirty_epoch`. Bumping the epoch
+    /// clears every flag at once, so no interval walks the vector.
+    pub(crate) dirty_vms: Vec<u32>,
+    /// Stamp of the current interval in `dirty_vms`.
+    dirty_epoch: u32,
+    /// VMs stamped with `dirty_epoch`, so the per-interval quiescence
+    /// tally never rescans the stamps.
     pub(crate) dirty_vm_count: usize,
     pub(crate) quiescence: QuiescenceLedger,
     pub(crate) decisions: DecisionCounts,
     pub(crate) telemetry: Telemetry,
-    /// Indices of partial VMs, ascending — exactly the set (and visit
-    /// order) a full scan of `vms` filtered on `partial` would produce,
-    /// maintained at the [`Self::set_vm_partial`] funnel so the fetch
-    /// phase walks `O(partials)` instead of `O(VMs)`.
-    pub(crate) partials: Vec<usize>,
+    /// The growth frontier: the partial VMs whose demand is still below
+    /// their epoch's `wss_cap`, in no particular order. The working-set
+    /// growth phase walks only these; a VM joins or leaves at the
+    /// demand, partial-flag and cap updates (`sync_frontier`). Every
+    /// effect of the walk is an integer `ByteSize` sum or a per-VM write,
+    /// so its order cannot change a byte.
+    frontier: Vec<u32>,
+    /// Position of each VM in `frontier`, or `u32::MAX` when absent,
+    /// parallel to `vms`.
+    frontier_pos: Vec<u32>,
     /// Reusable per-host scratch for the planner's serialized-work
     /// offsets, kept across intervals to avoid a fresh allocation per
     /// round. Always cleared on entry to `plan_and_execute`.
     busy_scratch: Vec<f64>,
+    /// Reusable scratch for the planner's decision ids, copied out of
+    /// the manager once per round.
+    decision_scratch: Vec<u64>,
+    /// Reusable scratch for the VMs a `return_home` brings back.
+    return_scratch: Vec<usize>,
     /// Per-home indices of VMs consolidated away from that home,
     /// ascending — exactly the set (and visit order) the old full scan
     /// of `vms` filtered on `home == h && location != h` produced.
@@ -315,13 +317,14 @@ pub struct ClusterSim {
     /// construction, so the capacity-exhaustion sweep reuses this
     /// instead of re-filtering (and re-allocating) every interval.
     cons_hosts: Vec<HostId>,
-    /// Indices of full (non-partial) idle VMs currently located on
-    /// consolidation hosts, ascending — the candidate superset of the
-    /// planner's exchange pass. Maintained at the location/partial/state
-    /// funnels; handing the planner this list (instead of the VM vector
-    /// it used to filter) turns the every-round exchange sweep into a
-    /// walk of only the VMs that can match.
-    exchange_ready: Vec<usize>,
+    /// The full (non-partial) idle VMs currently located on
+    /// consolidation hosts, as a bitset over VM index — the candidate
+    /// superset of the planner's exchange pass. Maintained at the
+    /// location/partial/state funnels; handing the planner this set
+    /// (instead of the VM vector it used to filter) turns the
+    /// every-round exchange sweep into a walk of only the VMs that can
+    /// match.
+    exchange_ready: Bitmap,
     /// Per-class working-set growth per interval, precomputed once from
     /// the exact expression the growth loop evaluated per VM per
     /// interval (`from_mib_f64(growth_per_min × INTERVAL_SECS / 60)`),
@@ -357,50 +360,60 @@ fn class_idx(class: WorkloadClass) -> usize {
     }
 }
 
+/// Samples one user-day per VM from `rng` (the simulator's main
+/// stream), then applies the configured rotation and spike.
+fn sample_days(cfg: &ClusterConfig, rng: &mut SimRng) -> Vec<UserDay> {
+    // Sample `total_vms` user-days of the requested kind, either from
+    // the supplied trace library or from a synthesized corpus
+    // comparable to §5.1's. The synthetic corpus is a pure function
+    // of its seed, so it comes from the process-wide memoizing cache:
+    // sweeps re-running the same seed stop re-deriving it.
+    let library = match &cfg.trace {
+        Some(set) => std::sync::Arc::new(set.clone()),
+        None => {
+            oasis_trace::shared_library(22, 17, cfg.trace_seed.unwrap_or(cfg.seed) ^ 0x712A_CE5E)
+        }
+    };
+    let mut users = sample_user_days(&library, cfg.day, cfg.total_vms() as usize, rng);
+    if users.is_empty() {
+        // A trace without days of this kind still yields a valid (all
+        // idle) simulation rather than a panic.
+        users = vec![UserDay::all_idle(cfg.day); cfg.total_vms() as usize];
+    }
+    if cfg.trace_rotation != 0 {
+        // Timezone stagger: shift every sampled day later in the day
+        // (wrapping) so racks in different zones quiesce at different
+        // simulated hours.
+        for day in &mut users {
+            day.rotate(cfg.trace_rotation as usize);
+        }
+    }
+    if let Some(spike) = cfg.spike {
+        // Flash crowd: force the caught users active over the spike
+        // window, after rotation so the window is in absolute
+        // datacenter time. Membership comes from a pure hash of
+        // (seed, vm index) — the RNG stream is not consumed, so a
+        // `spike: None` run stays byte-identical to one without the
+        // spike plumbing.
+        for (v, day) in users.iter_mut().enumerate() {
+            if spike_member(cfg.seed, v, spike.participation) {
+                day.spike(spike.start_interval as usize, spike.duration_intervals as usize);
+            }
+        }
+    }
+    users
+}
+
+/// The simulator's main RNG stream for `seed`.
+fn main_stream(seed: u64) -> SimRng {
+    SimRng::new(seed ^ 0xC1u64.wrapping_mul(0x9E37_79B9))
+}
+
 impl ClusterSim {
     /// Builds the simulated rack and samples one user-day per VM.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let mut rng = SimRng::new(cfg.seed ^ 0xC1u64.wrapping_mul(0x9E37_79B9));
-        // Sample `total_vms` user-days of the requested kind, either from
-        // the supplied trace library or from a synthesized corpus
-        // comparable to §5.1's. The synthetic corpus is a pure function
-        // of its seed, so it comes from the process-wide memoizing cache:
-        // sweeps re-running the same seed stop re-deriving it.
-        let library = match &cfg.trace {
-            Some(set) => std::sync::Arc::new(set.clone()),
-            None => oasis_trace::shared_library(
-                22,
-                17,
-                cfg.trace_seed.unwrap_or(cfg.seed) ^ 0x712A_CE5E,
-            ),
-        };
-        let mut users = sample_user_days(&library, cfg.day, cfg.total_vms() as usize, &mut rng);
-        if users.is_empty() {
-            // A trace without days of this kind still yields a valid (all
-            // idle) simulation rather than a panic.
-            users = vec![oasis_trace::UserDay::all_idle(cfg.day); cfg.total_vms() as usize];
-        }
-        if cfg.trace_rotation != 0 {
-            // Timezone stagger: shift every sampled day later in the day
-            // (wrapping) so racks in different zones quiesce at different
-            // simulated hours.
-            for day in &mut users {
-                day.rotate(cfg.trace_rotation as usize);
-            }
-        }
-        if let Some(spike) = cfg.spike {
-            // Flash crowd: force the caught users active over the spike
-            // window, after rotation so the window is in absolute
-            // datacenter time. Membership comes from a pure hash of
-            // (seed, vm index) — the RNG stream is not consumed, so a
-            // `spike: None` run stays byte-identical to one without the
-            // spike plumbing.
-            for (v, day) in users.iter_mut().enumerate() {
-                if spike_member(cfg.seed, v, spike.participation) {
-                    day.spike(spike.start_interval as usize, spike.duration_intervals as usize);
-                }
-            }
-        }
+        let mut rng = main_stream(cfg.seed);
+        let session = SessionEdges::new(&sample_days(&cfg, &mut rng), cfg.vms_per_host);
 
         let capacity = cfg.effective_capacity();
         let hosts: Vec<HostView> = (0..cfg.home_hosts + cfg.consolidation_hosts)
@@ -480,9 +493,9 @@ impl ClusterSim {
         );
 
         let hosts = vec![SimHost::default(); view.hosts.len()];
-        let mut residency = vec![Residency::default(); hosts.len()];
+        let mut residency = vec![Residency::new(vms.len()); hosts.len()];
         for (vi, vm) in view.vms.iter().enumerate() {
-            residency[vm.location.0 as usize].vms.push(vi);
+            residency[vm.location.0 as usize].vms.set(vi);
         }
         let home_partials = vec![0; hosts.len()];
 
@@ -494,8 +507,10 @@ impl ClusterSim {
             .collect::<Vec<_>>();
         let vm_energy_mj = vec![0u64; vms.len()];
         let dirty_hosts = vec![false; hosts.len()];
-        let dirty_vms = vec![false; vms.len()];
+        let dirty_vms = vec![0; vms.len()];
         let away_from_home = vec![Vec::new(); hosts.len()];
+        let frontier_pos = vec![u32::MAX; vms.len()];
+        let exchange_ready = Bitmap::new(vms.len());
         let cons_hosts: Vec<HostId> = view.consolidation_hosts().map(|h| h.id).collect();
         let growth_quantum = WorkloadClass::ALL.map(|c| {
             ByteSize::from_mib_f64(
@@ -511,7 +526,7 @@ impl ClusterSim {
             view,
             residency,
             home_partials,
-            users,
+            session,
             wss_dist,
             traffic: TrafficAccountant::new(),
             delays: Cdf::new(),
@@ -534,15 +549,19 @@ impl ClusterSim {
             vm_energy_mj,
             dirty_hosts,
             dirty_vms,
+            dirty_epoch: 1,
             dirty_vm_count: 0,
             quiescence: QuiescenceLedger::default(),
             decisions: DecisionCounts::default(),
             telemetry: Telemetry::disabled(),
-            partials: Vec::new(),
+            frontier: Vec::new(),
+            frontier_pos,
             busy_scratch: Vec::new(),
+            decision_scratch: Vec::new(),
+            return_scratch: Vec::new(),
             away_from_home,
             cons_hosts,
-            exchange_ready: Vec::new(),
+            exchange_ready,
             growth_quantum,
         }
     }
@@ -940,7 +959,7 @@ impl ClusterSim {
             let downtime = r.downtime.as_secs_f64().min(INTERVAL_SECS - offset).max(0.0);
             self.counts.reboots += 1;
             if self.view.hosts[idx].powered {
-                for _ in 0..self.residency[idx].active_vms.len() {
+                for _ in 0..self.residency[idx].active_vms.count_ones() {
                     self.delays.record(downtime);
                 }
                 self.set_host_power(idx, offset, false);
@@ -981,22 +1000,18 @@ impl ClusterSim {
             }
         }
         let r = &mut self.residency[s];
-        match r.vms.binary_search(&vi) {
-            Ok(pos) => {
-                r.vms.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "vm {vi} missing from source index"),
-        }
+        let left = r.vms.clear(vi);
+        debug_assert!(left, "vm {vi} missing from source index");
         if active {
-            r.active_remove(vi);
+            let left = r.active_vms.clear(vi);
+            debug_assert!(left, "vm {vi} missing from active index");
         }
         let r = &mut self.residency[d];
-        match r.vms.binary_search(&vi) {
-            Ok(_) => debug_assert!(false, "vm {vi} already in destination index"),
-            Err(pos) => r.vms.insert(pos, vi),
-        }
+        let arrived = r.vms.set(vi);
+        debug_assert!(arrived, "vm {vi} already in destination index");
         if active {
-            r.active_insert(vi);
+            let arrived = r.active_vms.set(vi);
+            debug_assert!(arrived, "vm {vi} already in active index");
         }
         self.view.host_demand[s] -= demand;
         self.view.host_demand[d] += demand;
@@ -1042,6 +1057,25 @@ impl ClusterSim {
         }
         let sum = &mut self.view.host_demand[vv.location.0 as usize];
         *sum = (*sum + demand) - old;
+        self.sync_frontier(vi);
+    }
+
+    /// Puts `vi` on the growth frontier exactly when it is partial with
+    /// demand below its `wss_cap`; called wherever one of those changes.
+    fn sync_frontier(&mut self, vi: usize) {
+        let vm = &self.view.vms[vi];
+        let grows = vm.partial && vm.demand < self.vms[vi].wss_cap;
+        let pos = self.frontier_pos[vi];
+        if grows && pos == u32::MAX {
+            self.frontier_pos[vi] = self.frontier.len() as u32;
+            self.frontier.push(vi as u32);
+        } else if !grows && pos != u32::MAX {
+            self.frontier.swap_remove(pos as usize);
+            if let Some(&moved) = self.frontier.get(pos as usize) {
+                self.frontier_pos[moved as usize] = pos;
+            }
+            self.frontier_pos[vi] = u32::MAX;
+        }
     }
 
     /// Sets a VM's partial flag, keeping the served-partials count of its
@@ -1071,16 +1105,10 @@ impl ClusterSim {
                 *slot -= 1;
             }
         }
-        match self.partials.binary_search(&vi) {
-            Ok(pos) if !partial => {
-                self.partials.remove(pos);
-            }
-            Err(pos) if partial => self.partials.insert(pos, vi),
-            _ => debug_assert!(false, "partial index out of step with vm {vi}"),
-        }
         let vv = &mut self.view.vms[vi];
         vv.partial = partial;
         vv.partial_demand = if partial { demand } else { self.vms[vi].wss_estimate };
+        self.sync_frontier(vi);
     }
 
     /// Sets a VM's activity state, keeping its host's active residents
@@ -1101,12 +1129,9 @@ impl ClusterSim {
                     self.exchange_ready_insert(vi);
                 }
             }
-            let r = &mut self.residency[host];
-            if state.is_active() {
-                r.active_insert(vi);
-            } else {
-                r.active_remove(vi);
-            }
+            let active = &mut self.residency[host].active_vms;
+            let changed = if state.is_active() { active.set(vi) } else { active.clear(vi) };
+            debug_assert!(changed, "active index out of step with vm {vi}");
         }
         self.view.vms[vi].state = state;
     }
@@ -1148,47 +1173,42 @@ impl ClusterSim {
         let growth_cap = ByteSize::from_mib_f64(
             class.idle_model().growth_per_min.as_mib_f64() * WSS_GROWTH_WINDOW.as_secs_f64() / 60.0,
         );
-        self.move_vm_to(vi, dest);
-        self.set_vm_partial(vi, true);
-        self.set_vm_demand(vi, wss);
+        // The epoch's cap is set before the funnels run: they place the
+        // VM on the growth frontier against it.
         let vm = &mut self.vms[vi];
         vm.wss_cap = wss + growth_cap;
         vm.consolidated_since = Some(now);
         vm.uploaded_once = true;
+        self.move_vm_to(vi, dest);
+        self.set_vm_partial(vi, true);
+        self.set_vm_demand(vi, wss);
         upload
     }
 
-    /// Adds `vi` to the sorted exchange-candidate list.
+    /// Adds `vi` to the exchange-candidate set.
     fn exchange_ready_insert(&mut self, vi: usize) {
-        if let Err(pos) = self.exchange_ready.binary_search(&vi) {
-            self.exchange_ready.insert(pos, vi);
-        } else {
-            debug_assert!(false, "vm {vi} already an exchange candidate");
-        }
+        let added = self.exchange_ready.set(vi);
+        debug_assert!(added, "vm {vi} already an exchange candidate");
     }
 
-    /// Removes `vi` from the sorted exchange-candidate list.
+    /// Removes `vi` from the exchange-candidate set.
     fn exchange_ready_remove(&mut self, vi: usize) {
-        match self.exchange_ready.binary_search(&vi) {
-            Ok(pos) => {
-                self.exchange_ready.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "vm {vi} missing from exchange candidates"),
-        }
+        let removed = self.exchange_ready.clear(vi);
+        debug_assert!(removed, "vm {vi} missing from exchange candidates");
     }
 
-    /// Sets a VM's dirty flag, keeping the set-flag count current.
+    /// Stamps a VM as mutated this interval, keeping the count current.
     fn mark_vm_dirty(&mut self, vi: usize) {
-        if !self.dirty_vms[vi] {
-            self.dirty_vms[vi] = true;
+        if self.dirty_vms[vi] != self.dirty_epoch {
+            self.dirty_vms[vi] = self.dirty_epoch;
             self.dirty_vm_count += 1;
         }
     }
 
-    /// The VMs resident on `host`, in ascending VM-index order — an O(1)
+    /// The VMs resident on `host`, in ascending VM-index order — an
     /// index lookup, not a scan of the VM vector.
     fn vms_on(&self, host: HostId) -> impl Iterator<Item = usize> + '_ {
-        self.residency[host.0 as usize].vms.iter().copied()
+        self.residency[host.0 as usize].vms.iter_ones()
     }
 
     /// Total memory demand resident on `host` (cached sum).
@@ -1198,7 +1218,7 @@ impl ClusterSim {
 
     /// Number of active VMs resident on `host`.
     fn active_on(&self, host: HostId) -> usize {
-        self.residency[host.0 as usize].active_vms.len()
+        self.residency[host.0 as usize].active_vms.count_ones()
     }
 
     /// Compares every incrementally maintained index, and the view's
@@ -1208,12 +1228,24 @@ impl ClusterSim {
     #[cfg(test)]
     fn verify_indices(&self) -> Result<(), String> {
         let vms = &self.view.vms;
+        fn ones(set: &Bitmap) -> Result<Vec<usize>, String> {
+            let ones: Vec<usize> = set.iter_ones().collect();
+            if ones.len() != set.count_ones() {
+                return Err(format!(
+                    "bitset count {} != {} set bits",
+                    set.count_ones(),
+                    ones.len()
+                ));
+            }
+            Ok(ones)
+        }
         for (h, r) in self.residency.iter().enumerate() {
             let host = self.view.hosts[h].id;
             let residents: Vec<usize> =
                 (0..vms.len()).filter(|&i| vms[i].location == host).collect();
-            if r.vms != residents {
-                return Err(format!("host {h}: residents {:?} != recount {residents:?}", r.vms));
+            let cached = ones(&r.vms)?;
+            if cached != residents {
+                return Err(format!("host {h}: residents {cached:?} != recount {residents:?}"));
             }
             let demand: ByteSize = residents.iter().map(|&i| vms[i].demand).sum();
             if self.view.host_demand[h] != demand {
@@ -1224,11 +1256,9 @@ impl ClusterSim {
             }
             let active: Vec<usize> =
                 residents.iter().copied().filter(|&i| vms[i].state.is_active()).collect();
-            if r.active_vms != active {
-                return Err(format!(
-                    "host {h}: cached active {:?} != recount {active:?}",
-                    r.active_vms
-                ));
+            let cached = ones(&r.active_vms)?;
+            if cached != active {
+                return Err(format!("host {h}: cached active {cached:?} != recount {active:?}"));
             }
             let partials =
                 vms.iter().filter(|v| v.home == host && v.partial && v.location != host).count()
@@ -1256,12 +1286,23 @@ impl ClusterSim {
                     && self.view.hosts[vms[i].location.0 as usize].role == HostRole::Consolidation
             })
             .collect();
-        if self.exchange_ready != ready {
-            return Err(format!("exchange_ready {:?} != recount {ready:?}", self.exchange_ready));
+        let cached = ones(&self.exchange_ready)?;
+        if cached != ready {
+            return Err(format!("exchange_ready {cached:?} != recount {ready:?}"));
         }
-        let partial_set: Vec<usize> = (0..vms.len()).filter(|&i| vms[i].partial).collect();
-        if self.partials != partial_set {
-            return Err(format!("partial index {:?} != recount {partial_set:?}", self.partials));
+        let growing: Vec<usize> = (0..vms.len())
+            .filter(|&i| vms[i].partial && vms[i].demand < self.vms[i].wss_cap)
+            .collect();
+        let mut cached: Vec<usize> = self.frontier.iter().map(|&vi| vi as usize).collect();
+        cached.sort_unstable();
+        if cached != growing {
+            return Err(format!("growth frontier {cached:?} != recount {growing:?}"));
+        }
+        for (vi, &pos) in self.frontier_pos.iter().enumerate() {
+            let listed = self.frontier.get(pos as usize) == Some(&(vi as u32));
+            if listed != (pos != u32::MAX) {
+                return Err(format!("vm {vi}: frontier position {pos} out of step"));
+            }
         }
         Ok(())
     }
@@ -1337,10 +1378,12 @@ impl ClusterSim {
         let mut work = 0.0;
         // The maintained away index lists exactly the VMs the old full
         // scan (`home == h && location != h`) found, in the same
-        // ascending order; cloned because the loop moves VMs home and
-        // mutates the index as it goes.
-        let member_ids: Vec<usize> = self.away_from_home[home.0 as usize].clone();
-        for i in member_ids {
+        // ascending order; copied out because the loop moves VMs home
+        // and mutates the index as it goes.
+        let mut members = std::mem::take(&mut self.return_scratch);
+        members.clear();
+        members.extend_from_slice(&self.away_from_home[home.0 as usize]);
+        for &i in &members {
             let VmView { id, location: from, allocation, partial, .. } = self.view.vms[i];
             let since = self.vms[i].consolidated_since;
             let (kind, moved, downtime) = if partial {
@@ -1371,20 +1414,23 @@ impl ClusterSim {
             self.move_vm_to(i, home);
             self.make_full(i);
         }
+        self.return_scratch = members;
         self.counts.returns_home += 1;
         Ok((work, wake_extra))
     }
 
-    /// Applies trace-driven VM state changes at interval `i`.
-    fn apply_trace(&mut self, interval: usize, now: SimTime) {
+    /// Applies the interval's session edges (positions `edges` in the
+    /// session list), in ascending VM order. Only the trace changes a
+    /// VM's state, so the edges are exactly the VMs whose state differs
+    /// from their trace bit.
+    fn apply_trace(&mut self, edges: core::ops::Range<usize>, now: SimTime) {
         self.reintegration_queue.clear();
         self.promote_queue.clear();
-        for vi in 0..self.view.vms.len() {
-            let desired =
-                if self.users[vi].is_active(interval) { VmState::Active } else { VmState::Idle };
-            if desired != self.view.vms[vi].state {
-                self.apply_transition(vi, desired, now);
-            }
+        for e in edges {
+            let (vi, active) = self.session.edge(e);
+            let desired = if active { VmState::Active } else { VmState::Idle };
+            debug_assert_ne!(desired, self.view.vms[vi].state, "edge of vm {vi} changes nothing");
+            self.apply_transition(vi, desired, now);
         }
     }
 
@@ -1452,7 +1498,7 @@ impl ClusterSim {
                     }
                 }
             }
-            Some(ActivationDecision::ReturnHome { home, .. }) => {
+            Some(ActivationDecision::ReturnHome { home }) => {
                 self.decisions.return_home += 1;
                 let decision = self.manager.last_decision_id();
                 let was_asleep = !self.view.hosts[self.host_index(home)].powered;
@@ -1516,7 +1562,9 @@ impl ClusterSim {
         // Ids allocated by the manager, aligned index-for-index with the
         // actions; they tie every migration event below back to its
         // `decision_made` audit record.
-        let decision_ids: Vec<u64> = self.manager.last_plan_decision_ids().to_vec();
+        let mut decision_ids = std::mem::take(&mut self.decision_scratch);
+        decision_ids.clear();
+        decision_ids.extend_from_slice(self.manager.last_plan_decision_ids());
         let interval = (now.as_micros() / (INTERVAL_SECS as u64 * 1_000_000)) as u32;
         self.telemetry.emit(Event::PolicyDecision { interval, actions: actions.len() as u32 });
         // Per-source serialized-work seconds this round, indexed by host
@@ -1719,33 +1767,36 @@ impl ClusterSim {
 
         // Sources drained of all VMs sleep after their serialized work.
         for (h, &serialized) in busy.iter().enumerate() {
-            if self.view.hosts[h].powered && self.residency[h].vms.is_empty() {
+            if self.view.hosts[h].powered && self.residency[h].vms.count_ones() == 0 {
                 let offset = serialized.min(INTERVAL_SECS);
                 self.set_host_power(h, offset, false);
             }
         }
         self.busy_scratch = busy;
+        self.decision_scratch = decision_ids;
     }
 
     /// Grows consolidated working sets and handles capacity exhaustion.
     fn grow_working_sets(&mut self, now: SimTime) {
         let mut fetched = ByteSize::ZERO;
-        // The maintained partial index lists exactly the VMs a full scan
-        // filtered on `partial` would visit, in the same ascending
-        // order. The growth loop only adjusts demands — never partial
-        // membership — so indexed iteration is stable (and skips the
-        // defensive clone this loop used to take every interval).
-        for pi in 0..self.partials.len() {
-            let vi = self.partials[pi];
+        // Only frontier VMs have headroom, so walking the frontier grows
+        // exactly the VMs a scan of every partial VM would. A VM that
+        // saturates leaves the frontier inside `set_vm_demand`, and the
+        // last entry takes its slot, so the walk stays on that slot.
+        let mut fi = 0;
+        while let Some(&vi) = self.frontier.get(fi) {
+            let vi = vi as usize;
             let demand = self.view.vms[vi].demand;
             debug_assert!(self.view.vms[vi].partial);
             let vm = &self.vms[vi];
             let growth_per_interval = self.growth_quantum[class_idx(vm.class)];
-            let headroom = vm.wss_cap.saturating_sub(demand);
-            let growth = growth_per_interval.min(headroom);
+            let growth = growth_per_interval.min(vm.wss_cap.saturating_sub(demand));
             if !growth.is_zero() {
                 self.set_vm_demand(vi, demand + growth);
                 fetched += growth.mul_f64(COMPRESS_RATIO);
+            }
+            if self.frontier_pos[vi] != u32::MAX {
+                fi += 1;
             }
         }
         if !fetched.is_zero() {
@@ -1819,7 +1870,7 @@ impl ClusterSim {
     /// Puts hosts drained outside planning (ReturnHome) to sleep.
     fn sleep_empty_hosts(&mut self) {
         for h in 0..self.hosts.len() {
-            if self.view.hosts[h].powered && self.residency[h].vms.is_empty() {
+            if self.view.hosts[h].powered && self.residency[h].vms.count_ones() == 0 {
                 self.set_host_power(h, INTERVAL_SECS * 0.5, false);
             }
         }
@@ -1830,13 +1881,13 @@ impl ClusterSim {
         // Summing the index-maintained per-host counts equals a recount
         // of the VM vector (locked by `verify_indices`), without the
         // O(VMs) scan per interval.
-        let active: usize = self.residency.iter().map(|r| r.active_vms.len()).sum();
+        let active: usize = self.residency.iter().map(|r| r.active_vms.count_ones()).sum();
         self.series_active.record(now, active as f64);
         let powered = self.view.hosts.iter().filter(|h| h.powered).count();
         self.series_powered.record(now, powered as f64);
         for h in &self.view.hosts {
             if h.role == HostRole::Consolidation && h.powered {
-                let n = self.residency[h.id.0 as usize].vms.len();
+                let n = self.residency[h.id.0 as usize].vms.count_ones();
                 if n > 0 {
                     self.ratio.record(n as f64);
                 }
@@ -1848,7 +1899,7 @@ impl ClusterSim {
     /// accumulates the integer-millijoule attribution ledger plus the
     /// per-interval quiescence counts alongside.
     // oasis-lint: boundary(float-energy, "fixed per-host fold order makes the f64 sums reproducible; the attribution ledger keeps the integer-mj truth")
-    fn account_energy(&mut self, interval: usize) {
+    fn account_energy(&mut self) {
         fn mj(joules: f64) -> u64 {
             (joules * 1_000.0).round().max(0.0) as u64
         }
@@ -1914,9 +1965,7 @@ impl ClusterSim {
         // reads identical values, so the f64 fold is unchanged).
         for home in 0..self.cfg.home_hosts {
             let p = self.cfg.host_profile_of(home);
-            let lo = (home * self.cfg.vms_per_host) as usize;
-            let hi = lo + self.cfg.vms_per_host as usize;
-            let active = self.users[lo..hi].iter().filter(|u| u.is_active(interval)).count();
+            let active = self.session.home_active(home as usize) as usize;
             self.baseline_joules += INTERVAL_SECS * p.watts(PowerState::Powered, active);
         }
     }
@@ -1932,17 +1981,16 @@ impl ClusterSim {
         // The active-resident index is exactly the ascending subsequence
         // of residents the old filtered walk visited, so the share order
         // (and the identity of `first`) is unchanged.
+        let active = &self.residency[h].active_vms;
         let mut weight_sum: u128 = 0;
-        let count = self.residency[h].active_vms.len() as u64;
-        for idx in 0..self.residency[h].active_vms.len() {
-            let vi = self.residency[h].active_vms[idx];
+        let count = active.count_ones() as u64;
+        for vi in active.iter_ones() {
             debug_assert!(self.view.vms[vi].state.is_active());
             weight_sum += u128::from(self.view.vms[vi].demand.as_bytes());
         }
-        let Some(&first) = self.residency[h].active_vms.first() else { return };
+        let Some(first) = active.iter_ones().next() else { return };
         let mut assigned = 0u64;
-        for idx in 0..self.residency[h].active_vms.len() {
-            let vi = self.residency[h].active_vms[idx];
+        for vi in active.iter_ones() {
             let w = u128::from(self.view.vms[vi].demand.as_bytes());
             // Zero total demand degrades to an equal split.
             let share = match (u128::from(active_mj) * w).checked_div(weight_sum) {
@@ -1962,21 +2010,23 @@ impl ClusterSim {
     pub(crate) fn step_interval(&mut self, interval: usize, next_plan: &mut SimTime) {
         let now = SimTime::from_secs(interval as u64 * INTERVAL_SECS as u64);
         self.telemetry.advance_to(now);
-        let active = self.users.iter().filter(|u| u.is_active(interval)).count();
-        self.telemetry
-            .emit(Event::IntervalStarted { interval: interval as u32, active: active as u32 });
+        let edges = self.session.advance(interval);
+        self.telemetry.emit(Event::IntervalStarted {
+            interval: interval as u32,
+            active: self.session.active(),
+        });
         for h in &mut self.hosts {
             h.begin_interval();
         }
         self.dirty_hosts.iter_mut().for_each(|d| *d = false);
-        self.dirty_vms.iter_mut().for_each(|d| *d = false);
+        self.dirty_epoch += 1;
         self.dirty_vm_count = 0;
         let scope = self.telemetry.profile("fault_service");
         self.apply_faults(now);
         self.apply_reboots(now);
         scope.end();
         let scope = self.telemetry.profile("activation");
-        self.apply_trace(interval, now);
+        self.apply_trace(edges, now);
         scope.end();
         // The manager plans on its own configurable interval (§3.1),
         // not on every trace step.
@@ -1992,7 +2042,7 @@ impl ClusterSim {
         let scope = self.telemetry.profile("accounting");
         self.sleep_empty_hosts();
         self.record(now);
-        self.account_energy(interval);
+        self.account_energy();
         self.energy_series.record(now, self.total_joules / oasis_power::meter::JOULES_PER_KWH);
         scope.end();
     }
@@ -2417,6 +2467,63 @@ mod tests {
                     panic!("seed {seed}, op {op}: index drifted from recount: {e}")
                 });
             }
+        }
+    }
+
+    /// Property: at every interval of a rotated, spiked and faulted day,
+    /// the session edges are exactly the VMs a sweep of every VM against
+    /// the sampled trace would change, in the same ascending order and
+    /// towards the same state, and the edge-maintained active counts
+    /// equal a recount of the trace.
+    #[test]
+    fn session_edges_match_a_full_trace_sweep() {
+        for seed in [1u64, 2] {
+            let schedule = oasis_faults::FaultSchedule::random(
+                oasis_faults::FaultProfile::heavy(),
+                8,
+                SimDuration::from_hours(24),
+                seed ^ 0xFA17,
+            );
+            let mut cfg = ClusterConfig::builder()
+                .home_hosts(6)
+                .consolidation_hosts(2)
+                .vms_per_host(10)
+                .seed(seed)
+                .wol_loss_rate(0.2)
+                .faults(schedule)
+                .spike(crate::config::ActivitySpike {
+                    start_interval: 276,
+                    duration_intervals: 24,
+                    participation: 0.5,
+                })
+                .build()
+                .expect("valid configuration");
+            cfg.trace_rotation = 37;
+            let users = sample_days(&cfg, &mut main_stream(seed));
+            assert!(users.iter().any(|u| u.is_active(0) && u.is_active(287)), "spike wraps");
+            let mut sim = ClusterSim::new(cfg);
+            let mut next_plan = SimTime::ZERO;
+            let mut edges_seen = 0;
+            for interval in 0..INTERVALS_PER_DAY {
+                let sweep: Vec<(usize, bool)> = (0..users.len())
+                    .map(|vi| (vi, users[vi].is_active(interval)))
+                    .filter(|&(vi, active)| active != sim.view.vms[vi].state.is_active())
+                    .collect();
+                let mut probe = sim.session.clone();
+                let edges: Vec<(usize, bool)> =
+                    probe.advance(interval).map(|e| probe.edge(e)).collect();
+                assert_eq!(edges, sweep, "seed {seed}, interval {interval}");
+                edges_seen += edges.len();
+                sim.step_interval(interval, &mut next_plan);
+                let active = users.iter().filter(|u| u.is_active(interval)).count();
+                assert_eq!(sim.session.active() as usize, active, "interval {interval}");
+                for home in 0..6 {
+                    let homed = &users[home * 10..home * 10 + 10];
+                    let active = homed.iter().filter(|u| u.is_active(interval)).count();
+                    assert_eq!(sim.session.home_active(home) as usize, active);
+                }
+            }
+            assert!(edges_seen > 0, "the day has session edges");
         }
     }
 

@@ -99,11 +99,11 @@ impl ClusterManager {
     /// The cached `planned_actions_total` handle, fetched on first use.
     fn planned_actions_counter(&mut self) -> &Counter {
         if self.planned_actions.is_none() {
-            self.planned_actions =
-                Some(self.telemetry.metrics().counter(
-                    "planned_actions_total",
-                    &[("policy", &self.config.policy.to_string())],
-                ));
+            self.planned_actions = Some(
+                self.telemetry
+                    .metrics()
+                    .counter("planned_actions_total", &[("policy", self.config.policy.name())]),
+            );
         }
         self.planned_actions.as_ref().expect("just filled")
     }
@@ -171,7 +171,7 @@ impl ClusterManager {
         }
         self.telemetry.emit(Event::PlanAudit {
             interval: round,
-            policy: self.config.policy.to_string(),
+            policy: self.config.policy.name(),
             decision_base: self.last_plan_decision_ids.first().copied().unwrap_or(0),
             actions: actions.len() as u32,
             exchanges: plan_stats.exchanges,
@@ -228,7 +228,7 @@ impl ClusterManager {
                 ActivationDecision::MoveTo { vm, destination } => {
                     (DecisionClass::Relocate, vm.0, destination.0)
                 }
-                ActivationDecision::ReturnHome { home, .. } => {
+                ActivationDecision::ReturnHome { home } => {
                     (DecisionClass::ReturnHome, vm.0, home.0)
                 }
             };

@@ -13,7 +13,7 @@
 //! energy", §3.1) discards vacate plans whose savings would not cover the
 //! consolidation hosts they power on.
 
-use oasis_mem::ByteSize;
+use oasis_mem::{Bitmap, ByteSize};
 use oasis_migration::{MigrationOrder, MigrationType};
 use oasis_sim::SimRng;
 use oasis_vm::{HostId, VmId, VmState};
@@ -75,7 +75,7 @@ impl Default for PlannerConfig {
 /// worse inside sort comparators. This index is built once per round in
 /// a single pass; the per-host demand sums accumulate in the same VM
 /// order the scans used (integer adds, so the totals are bit-equal) and
-/// the resident lists preserve VM-vector order exactly.
+/// the resident sets iterate in VM-vector order.
 enum HostIndex<'a> {
     /// Borrowed from a caller-maintained [`ResidencyIndex`]; nothing is
     /// rebuilt or allocated per round. Demand is read from the view.
@@ -85,9 +85,8 @@ enum HostIndex<'a> {
     Built {
         /// Total resident demand per host position.
         demand: Vec<ByteSize>,
-        /// Indices into `view.vms` of residents, per host position, in
-        /// VM-vector order.
-        residents: Vec<Vec<usize>>,
+        /// Residents per host position, as bitsets over `view.vms`.
+        residents: Vec<Bitmap>,
     },
 }
 
@@ -97,11 +96,11 @@ impl<'a> HostIndex<'a> {
             return HostIndex::External(ext);
         }
         let mut demand = vec![ByteSize::ZERO; view.hosts.len()];
-        let mut residents = vec![Vec::new(); view.hosts.len()];
+        let mut residents = vec![Bitmap::new(view.vms.len()); view.hosts.len()];
         for (vi, vm) in view.vms.iter().enumerate() {
             if let Some(p) = view.pos(vm.location) {
                 demand[p] += vm.demand;
-                residents[p].push(vi);
+                residents[p].set(vi);
             }
         }
         HostIndex::Built { demand, residents }
@@ -115,18 +114,24 @@ impl<'a> HostIndex<'a> {
     }
 
     fn has_residents(&self, view: &ClusterView, host: HostId) -> bool {
-        !self.resident_indices(view, host).is_empty()
+        view.pos(host).is_some_and(|p| self.residents_at(p).count_ones() > 0)
+    }
+
+    /// The residents of the host at position `p`.
+    fn residents_at(&self, p: usize) -> &Bitmap {
+        match self {
+            HostIndex::External(ext) => ext.residents(p),
+            HostIndex::Built { residents, .. } => &residents[p],
+        }
     }
 
     /// Indices into `view.vms` of `host`'s residents, in VM-vector order.
-    fn resident_indices(&self, view: &ClusterView, host: HostId) -> &[usize] {
-        match view.pos(host) {
-            Some(p) => match self {
-                HostIndex::External(ext) => ext.residents(p),
-                HostIndex::Built { residents, .. } => &residents[p],
-            },
-            None => &[],
-        }
+    fn resident_indices(
+        &self,
+        view: &ClusterView,
+        host: HostId,
+    ) -> impl Iterator<Item = usize> + '_ {
+        view.pos(host).into_iter().flat_map(move |p| self.residents_at(p).iter_ones())
     }
 
     fn role_of(&self, view: &ClusterView, host: HostId) -> Option<HostRole> {
@@ -303,8 +308,8 @@ pub fn plan_consolidation(
     // freeing `allocation − working set` on the spot.
     if policy.exchanges_full_for_partial() {
         let pass = telemetry.profile("exchange_pass");
-        // A maintained candidate list (ascending, a superset of what the
-        // full sweep would select — each entry is re-checked below)
+        // A maintained candidate set (a superset of what the full sweep
+        // would select, walked ascending — each entry is re-checked below)
         // replaces the every-round O(VMs) scan with a walk of only the
         // VMs that can match; the selected set, and everything derived
         // from it, is identical either way.
@@ -326,8 +331,8 @@ pub fn plan_consolidation(
             }
         };
         match external.and_then(|e| e.full_idle_consolidated()) {
-            Some(list) => {
-                for &vi in list {
+            Some(set) => {
+                for vi in set.iter_ones() {
                     sweep(&view.vms[vi]);
                 }
             }
@@ -357,14 +362,14 @@ pub fn plan_consolidation(
     let mut tentative: Vec<(PlannedAction, HostId, ByteSize, u32)> = Vec::new();
     for host in queue {
         let _host_scan = telemetry.profile("vacate_host_scan");
-        let vms = index.resident_indices(view, host);
-        if policy == PolicyKind::OnlyPartial && vms.iter().any(|&vi| view.vms[vi].state.is_active())
+        if policy == PolicyKind::OnlyPartial
+            && index.resident_indices(view, host).any(|vi| view.vms[vi].state.is_active())
         {
             continue; // Cannot vacate a host with active VMs.
         }
         tentative.clear();
         let mut ok = true;
-        for &vi in vms {
+        for vi in index.resident_indices(view, host) {
             let vm = &view.vms[vi];
             let (kind, need) = match (policy, vm.state) {
                 (PolicyKind::FullOnly, _) | (_, VmState::Active) => {
@@ -455,10 +460,9 @@ pub fn plan_consolidation(
     let mut drained: Vec<HostId> = Vec::new();
     for host in drain_queue {
         let _host_scan = telemetry.profile("drain_host_scan");
-        let vms = index.resident_indices(view, host);
         tentative.clear();
         let mut ok = true;
-        for &vi in vms {
+        for vi in index.resident_indices(view, host) {
             let vm = &view.vms[vi];
             let (kind, need) = if vm.partial {
                 (MigrationType::Partial, vm.demand)
@@ -550,8 +554,7 @@ pub fn on_partial_activated(
         }
     }
     // Default strategy: wake the home, return all of its VMs.
-    let vms: Vec<VmId> = view.vms_homed_at(vm.home).map(|v| v.id).collect();
-    (Some(ActivationDecision::ReturnHome { home: vm.home, vms }), 1)
+    (Some(ActivationDecision::ReturnHome { home: vm.home }), 1)
 }
 
 #[cfg(test)]
@@ -741,10 +744,7 @@ mod tests {
         view.vms[0].state = VmState::Active;
         let d = on_partial_activated(&view, view.vms[0].id, PolicyKind::Default, &mut rng()).0;
         match d {
-            Some(ActivationDecision::ReturnHome { home, vms }) => {
-                assert_eq!(home, HostId(0));
-                assert_eq!(vms.len(), 2, "all VMs homed there return");
-            }
+            Some(ActivationDecision::ReturnHome { home }) => assert_eq!(home, HostId(0)),
             other => panic!("expected ReturnHome, got {other:?}"),
         }
     }

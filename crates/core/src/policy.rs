@@ -64,19 +64,23 @@ impl PolicyKind {
     pub fn relocates_on_saturation(self) -> bool {
         matches!(self, PolicyKind::NewHome)
     }
-}
 
-impl fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The policy's name as the paper writes it (its display form).
+    pub fn name(self) -> &'static str {
+        match self {
             PolicyKind::AlwaysOn => "AlwaysOn",
             PolicyKind::FullOnly => "FullOnly",
             PolicyKind::OnlyPartial => "OnlyPartial",
             PolicyKind::Default => "Default",
             PolicyKind::FullToPartial => "FulltoPartial",
             PolicyKind::NewHome => "NewHome",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -140,8 +144,6 @@ pub enum ActivationDecision {
     ReturnHome {
         /// The home host to wake.
         home: HostId,
-        /// Every VM homed there, to migrate back.
-        vms: Vec<VmId>,
     },
 }
 

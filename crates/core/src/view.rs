@@ -4,7 +4,7 @@
 //! host-agent reports (§4.1). Keeping the planner pure — snapshot in,
 //! plan out — makes every policy unit-testable without a simulator.
 
-use oasis_mem::ByteSize;
+use oasis_mem::{Bitmap, ByteSize};
 use oasis_vm::{HostId, VmId, VmState};
 
 /// Role of a host (§3.1).
@@ -163,22 +163,23 @@ impl ClusterView {
 /// round.
 ///
 /// An implementation must agree exactly with a from-scratch pass over
-/// the view's VM vector: `residents(p)` holds the indices of VMs whose
-/// `location` is the host at position `p`, ascending (VM-vector order).
-/// Per-host demand comes from the view itself ([`ClusterView::demand_on`]).
-/// The simulator's residency index (locked by its `verify_indices`
-/// recount tests) is the canonical implementation.
+/// the view's VM vector: `residents(p)` is the set of indices of VMs
+/// whose `location` is the host at position `p`, as a bitset over the VM
+/// vector (its ascending iteration is VM-vector order). Per-host demand
+/// comes from the view itself ([`ClusterView::demand_on`]). The
+/// simulator's residency index (locked by its `verify_indices` recount
+/// tests) is the canonical implementation.
 pub trait ResidencyIndex {
-    /// Indices into the view's VM vector of the residents of the host at
-    /// position `pos`, ascending.
-    fn residents(&self, pos: usize) -> &[usize];
-    /// Ascending VM-vector indices of every full (non-partial) idle VM
-    /// currently located on a consolidation host, when tracked. The
-    /// exchange pass walks this list instead of the whole VM vector —
-    /// the list must therefore be a superset of the VMs the full scan
-    /// would select (the pass re-checks each candidate), in the same
-    /// ascending order. `None` keeps the full scan.
-    fn full_idle_consolidated(&self) -> Option<&[usize]> {
+    /// The residents of the host at position `pos`, by index into the
+    /// view's VM vector.
+    fn residents(&self, pos: usize) -> &Bitmap;
+    /// Every full (non-partial) idle VM currently located on a
+    /// consolidation host, by VM-vector index, when tracked. The
+    /// exchange pass walks this set instead of the whole VM vector — the
+    /// set must therefore be a superset of the VMs the full scan would
+    /// select (the pass re-checks each candidate). `None` keeps the full
+    /// scan.
+    fn full_idle_consolidated(&self) -> Option<&Bitmap> {
         None
     }
 }

@@ -32,6 +32,7 @@ pub mod size;
 pub mod wss;
 
 pub use addr::{PageNum, PAGE_SIZE};
+pub use bitmap::Bitmap;
 pub use compress::{compress, decompress};
 pub use page_table::PageTable;
 pub use size::ByteSize;

@@ -187,7 +187,6 @@ pub struct TimeWeighted {
     last_time: SimTime,
     level: f64,
     integral: f64,
-    started: bool,
 }
 
 impl Default for TimeWeighted {
@@ -199,14 +198,13 @@ impl Default for TimeWeighted {
 impl TimeWeighted {
     /// Creates a collector with level 0 at time 0.
     pub fn new() -> Self {
-        TimeWeighted { last_time: SimTime::ZERO, level: 0.0, integral: 0.0, started: false }
+        TimeWeighted { last_time: SimTime::ZERO, level: 0.0, integral: 0.0 }
     }
 
     /// Sets the level at `now`, accumulating the previous level until then.
     pub fn set(&mut self, now: SimTime, level: f64) {
         self.accumulate(now);
         self.level = level;
-        self.started = true;
     }
 
     /// Adds `delta` to the current level at `now`.

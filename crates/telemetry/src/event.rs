@@ -240,7 +240,7 @@ pub enum Event {
         /// Zero-based five-minute interval index.
         interval: u32,
         /// Policy that planned (`PolicyKind` display form).
-        policy: String,
+        policy: &'static str,
         /// First decision id of the round; the round's action decisions
         /// are `decision_base .. decision_base + actions`.
         decision_base: u64,
@@ -392,30 +392,59 @@ pub enum Event {
 }
 
 impl Event {
+    /// Every kind tag, indexed by [`Event::kind_index`].
+    pub(crate) const KINDS: [&'static str; 20] = [
+        "interval_started",
+        "policy_decision",
+        "decision_made",
+        "plan_audit",
+        "migration_started",
+        "migration_completed",
+        "host_suspended",
+        "host_resumed",
+        "wol_retry",
+        "page_fault_fetched",
+        "capacity_exhausted",
+        "fault_injected",
+        "wake_failed",
+        "wake_abandoned",
+        "memserver_crashed",
+        "memserver_restarted",
+        "migration_stalled",
+        "migration_aborted",
+        "recovery_applied",
+        "note",
+    ];
+
+    /// Position of this event's kind in [`Event::KINDS`].
+    pub(crate) fn kind_index(&self) -> usize {
+        match self {
+            Event::IntervalStarted { .. } => 0,
+            Event::PolicyDecision { .. } => 1,
+            Event::DecisionMade { .. } => 2,
+            Event::PlanAudit { .. } => 3,
+            Event::MigrationStarted { .. } => 4,
+            Event::MigrationCompleted { .. } => 5,
+            Event::HostSuspended { .. } => 6,
+            Event::HostResumed { .. } => 7,
+            Event::WolRetry { .. } => 8,
+            Event::PageFaultFetched { .. } => 9,
+            Event::CapacityExhausted { .. } => 10,
+            Event::FaultInjected { .. } => 11,
+            Event::WakeFailed { .. } => 12,
+            Event::WakeAbandoned { .. } => 13,
+            Event::MemServerCrashed { .. } => 14,
+            Event::MemServerRestarted { .. } => 15,
+            Event::MigrationStalled { .. } => 16,
+            Event::MigrationAborted { .. } => 17,
+            Event::RecoveryApplied { .. } => 18,
+            Event::Note { .. } => 19,
+        }
+    }
+
     /// Stable snake_case kind tag used in encodings and metrics labels.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::IntervalStarted { .. } => "interval_started",
-            Event::PolicyDecision { .. } => "policy_decision",
-            Event::DecisionMade { .. } => "decision_made",
-            Event::PlanAudit { .. } => "plan_audit",
-            Event::MigrationStarted { .. } => "migration_started",
-            Event::MigrationCompleted { .. } => "migration_completed",
-            Event::HostSuspended { .. } => "host_suspended",
-            Event::HostResumed { .. } => "host_resumed",
-            Event::WolRetry { .. } => "wol_retry",
-            Event::PageFaultFetched { .. } => "page_fault_fetched",
-            Event::CapacityExhausted { .. } => "capacity_exhausted",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::WakeFailed { .. } => "wake_failed",
-            Event::WakeAbandoned { .. } => "wake_abandoned",
-            Event::MemServerCrashed { .. } => "memserver_crashed",
-            Event::MemServerRestarted { .. } => "memserver_restarted",
-            Event::MigrationStalled { .. } => "migration_stalled",
-            Event::MigrationAborted { .. } => "migration_aborted",
-            Event::RecoveryApplied { .. } => "recovery_applied",
-            Event::Note { .. } => "note",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// Severity of this event kind.
@@ -631,7 +660,7 @@ mod tests {
             seq: 13,
             event: Event::PlanAudit {
                 interval: 1,
-                policy: "FulltoPartial".to_string(),
+                policy: "FulltoPartial",
                 decision_base: 7,
                 actions: 12,
                 exchanges: 2,
@@ -692,7 +721,7 @@ mod tests {
             },
             Event::PlanAudit {
                 interval: 0,
-                policy: String::new(),
+                policy: "",
                 decision_base: 0,
                 actions: 0,
                 exchanges: 0,
@@ -734,6 +763,10 @@ mod tests {
             Event::RecoveryApplied { action: RecoveryKind::Rehome, target: 0, decision: 0 },
             Event::Note { text: String::new() },
         ];
+        // Each variant owns one slot of the cached-counter table.
+        for (i, e) in events.iter().enumerate() {
+            assert_eq!(e.kind_index(), i, "{}", e.kind());
+        }
         let mut kinds: Vec<_> = events.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();

@@ -50,7 +50,7 @@ pub use subscriber::{BufferSink, JsonlSink, Subscriber};
 use oasis_sim::SimTime;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The telemetry handle: event bus + metrics registry + logical clock.
 ///
@@ -67,6 +67,11 @@ struct Inner {
     now_us: AtomicU64,
     subscribers: Mutex<Vec<Box<dyn Subscriber>>>,
     metrics: Metrics,
+    /// `telemetry_events_total{kind}` handles by [`Event::kind_index`],
+    /// each registered on the first event of its kind that passes the
+    /// filter, so an emit never builds a metric key under the registry
+    /// lock.
+    event_counters: [OnceLock<Counter>; Event::KINDS.len()],
     profiler: Profiler,
 }
 
@@ -81,6 +86,7 @@ impl Inner {
             now_us: AtomicU64::new(0),
             subscribers: Mutex::new(Vec::new()),
             metrics,
+            event_counters: std::array::from_fn(|_| OnceLock::new()),
             profiler: Profiler::new(level != Level::Off),
         }
     }
@@ -158,7 +164,13 @@ impl Telemetry {
         if !self.inner.level.allows(event.level()) {
             return;
         }
-        self.inner.metrics.counter("telemetry_events_total", &[("kind", event.kind())]).inc();
+        let kind = event.kind_index();
+        let metrics = &self.inner.metrics;
+        self.inner.event_counters[kind]
+            .get_or_init(|| {
+                metrics.counter("telemetry_events_total", &[("kind", Event::KINDS[kind])])
+            })
+            .inc();
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let record = EventRecord { time, seq, event };
         for sub in self.inner.subscribers.lock().unwrap().iter_mut() {

@@ -32,8 +32,8 @@ pub struct TraceKey {
 }
 
 /// Maximum number of resident libraries (bounded LRU). A paper-scale
-/// library (22 users × 17 weeks) is ~0.75 MiB, so the cache tops out
-/// around 12 MiB.
+/// library (22 users × 17 weeks, 2,618 packed 48-byte user-days) is
+/// ~0.12 MiB, so the cache tops out around 2 MiB.
 pub const TRACE_CACHE_CAPACITY: usize = 16;
 
 /// LRU list, least-recently-used first. A `Vec` keeps iteration order

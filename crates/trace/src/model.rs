@@ -106,7 +106,7 @@ impl ActivityModel {
 
     /// Generates one user-day.
     pub fn generate_day(&self, kind: DayKind, rng: &mut SimRng) -> UserDay {
-        let mut active = Vec::with_capacity(INTERVALS_PER_DAY);
+        let mut day = UserDay::all_idle(kind);
         let p_off = 1.0 / self.session_len;
         let mut on = rng.chance(Self::expected_activity(kind, 0));
         for i in 0..INTERVALS_PER_DAY {
@@ -123,9 +123,11 @@ impl ActivityModel {
                     on = true;
                 }
             }
-            active.push(on);
+            if on {
+                day.spike(i, 1);
+            }
         }
-        UserDay::new(kind, active)
+        day
     }
 
     /// Generates a whole trace library: `users × weeks`, five weekdays and
@@ -256,7 +258,7 @@ mod tests {
         // Average run length should be near the configured session length.
         let mut runs = Vec::new();
         let mut len = 0;
-        for &a in &day.active {
+        for a in (0..INTERVALS_PER_DAY).map(|i| day.is_active(i)) {
             if a {
                 len += 1;
             } else if len > 0 {

@@ -23,7 +23,7 @@ pub fn sample_user_days(set: &TraceSet, kind: DayKind, n: usize, rng: &mut SimRn
 
 /// Per-interval count of active users across a sampled population.
 pub fn concurrent_activity(days: &[UserDay]) -> Vec<usize> {
-    let intervals = days.first().map_or(0, |d| d.active.len());
+    let intervals = if days.is_empty() { 0 } else { crate::INTERVALS_PER_DAY };
     (0..intervals).map(|i| days.iter().filter(|d| d.is_active(i)).count()).collect()
 }
 
@@ -63,9 +63,8 @@ mod tests {
     fn concurrent_activity_counts() {
         let mut d1 = UserDay::all_idle(DayKind::Weekday);
         let mut d2 = UserDay::all_idle(DayKind::Weekday);
-        d1.active[0] = true;
-        d2.active[0] = true;
-        d2.active[1] = true;
+        d1.spike(0, 1);
+        d2.spike(0, 2);
         let counts = concurrent_activity(&[d1, d2]);
         assert_eq!(counts[0], 2);
         assert_eq!(counts[1], 1);

@@ -50,30 +50,72 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One user's activity over one day.
+/// Words of a packed user-day: one bit per interval.
+const WORDS: usize = INTERVALS_PER_DAY.div_ceil(64);
+
+/// Mask of the interval bits in the last word.
+const LAST_MASK: u64 = !0 >> (WORDS * 64 - INTERVALS_PER_DAY);
+
+/// One user's activity over one day, packed one bit per interval (bit
+/// `i % 64` of word `i / 64` is interval `i`) into 40 bytes held inline,
+/// so a day makes no heap allocation of its own. Bits at and beyond
+/// [`INTERVALS_PER_DAY`] are always clear.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UserDay {
     /// Weekday or weekend.
     pub kind: DayKind,
-    /// Activity bit per interval.
-    pub active: Vec<bool>,
+    bits: [u64; WORDS],
+}
+
+/// `bits` shifted `k` intervals later, dropping what passes the day's
+/// end.
+fn shifted_later(bits: &[u64; WORDS], k: usize) -> [u64; WORDS] {
+    let (words, off) = (k / 64, k % 64);
+    let mut out = [0u64; WORDS];
+    for (i, o) in out.iter_mut().enumerate().skip(words) {
+        let src = i - words;
+        *o = bits[src] << off;
+        if off != 0 && src > 0 {
+            *o |= bits[src - 1] >> (64 - off);
+        }
+    }
+    out[WORDS - 1] &= LAST_MASK;
+    out
+}
+
+/// `bits` shifted `k` intervals earlier, dropping what passes midnight.
+fn shifted_earlier(bits: &[u64; WORDS], k: usize) -> [u64; WORDS] {
+    let (words, off) = (k / 64, k % 64);
+    let mut out = [0u64; WORDS];
+    for (i, o) in out.iter_mut().enumerate().take(WORDS.saturating_sub(words)) {
+        let src = i + words;
+        *o = bits[src] >> off;
+        if off != 0 && src + 1 < WORDS {
+            *o |= bits[src + 1] << (64 - off);
+        }
+    }
+    out
 }
 
 impl UserDay {
-    /// Creates a user-day; pads or truncates to [`INTERVALS_PER_DAY`].
-    pub fn new(kind: DayKind, mut active: Vec<bool>) -> Self {
-        active.resize(INTERVALS_PER_DAY, false);
-        UserDay { kind, active }
+    /// Creates a user-day from one activity flag per interval; pads with
+    /// idle intervals or truncates to [`INTERVALS_PER_DAY`].
+    pub fn new(kind: DayKind, active: impl IntoIterator<Item = bool>) -> Self {
+        let mut day = UserDay::all_idle(kind);
+        for (i, on) in active.into_iter().take(INTERVALS_PER_DAY).enumerate() {
+            day.bits[i / 64] |= u64::from(on) << (i % 64);
+        }
+        day
     }
 
     /// A fully idle day.
     pub fn all_idle(kind: DayKind) -> Self {
-        UserDay { kind, active: vec![false; INTERVALS_PER_DAY] }
+        UserDay { kind, bits: [0; WORDS] }
     }
 
     /// `true` if the user was active in interval `i`.
     pub fn is_active(&self, i: usize) -> bool {
-        self.active.get(i).copied().unwrap_or(false)
+        i < INTERVALS_PER_DAY && self.bits[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Rotates the activity pattern `k` intervals later in the day,
@@ -83,7 +125,11 @@ impl UserDay {
     pub fn rotate(&mut self, k: usize) {
         let k = k % INTERVALS_PER_DAY;
         if k != 0 {
-            self.active.rotate_right(k);
+            let later = shifted_later(&self.bits, k);
+            let wrapped = shifted_earlier(&self.bits, INTERVALS_PER_DAY - k);
+            for (w, (a, b)) in self.bits.iter_mut().zip(later.iter().zip(&wrapped)) {
+                *w = a | b;
+            }
         }
     }
 
@@ -96,13 +142,40 @@ impl UserDay {
         let len = len.min(INTERVALS_PER_DAY);
         for off in 0..len {
             let i = (start + off) % INTERVALS_PER_DAY;
-            self.active[i] = true;
+            self.bits[i / 64] |= 1 << (i % 64);
         }
+    }
+
+    /// The session edges of the day, ascending: every interval whose
+    /// activity differs from the interval before it, with the activity
+    /// it switches to. The day starts idle, so an active interval 0 is
+    /// an edge.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        // Word `w - 1`'s flips: each bit XOR the bit before it, which
+        // for bit 0 is the previous word's top bit (`carry`).
+        let (mut w, mut flips, mut carry) = (0, 0u64, 0u64);
+        core::iter::from_fn(move || loop {
+            if flips != 0 {
+                let bit = flips.trailing_zeros() as usize;
+                flips &= flips - 1;
+                return Some(((w - 1) * 64 + bit, self.bits[w - 1] >> bit & 1 == 1));
+            }
+            if w == WORDS {
+                return None;
+            }
+            let word = self.bits[w];
+            flips = word ^ (word << 1 | carry);
+            if w == WORDS - 1 {
+                flips &= LAST_MASK;
+            }
+            carry = word >> 63;
+            w += 1;
+        })
     }
 
     /// Number of active intervals.
     pub fn active_intervals(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Fraction of the day spent active.
@@ -116,7 +189,8 @@ impl UserDay {
             DayKind::Weekday => "WD",
             DayKind::Weekend => "WE",
         };
-        let bits: String = self.active.iter().map(|&a| if a { '1' } else { '0' }).collect();
+        let bits: String =
+            (0..INTERVALS_PER_DAY).map(|i| if self.is_active(i) { '1' } else { '0' }).collect();
         format!("{tag} {bits}")
     }
 }
@@ -179,15 +253,15 @@ impl TraceSet {
             if bits.len() != INTERVALS_PER_DAY {
                 return Err(TraceError::BadLength { line: lineno + 1, len: bits.len() });
             }
-            let mut active = Vec::with_capacity(INTERVALS_PER_DAY);
-            for ch in bits.chars() {
+            let mut day = UserDay::all_idle(kind);
+            for (i, ch) in bits.chars().enumerate() {
                 match ch {
-                    '0' => active.push(false),
-                    '1' => active.push(true),
+                    '0' => {}
+                    '1' => day.spike(i, 1),
                     other => return Err(TraceError::BadBit { line: lineno + 1, ch: other }),
                 }
             }
-            days.push(UserDay { kind, active });
+            days.push(day);
         }
         Ok(TraceSet { days })
     }
@@ -266,10 +340,11 @@ mod tests {
     #[test]
     fn new_pads_and_truncates() {
         let short = UserDay::new(DayKind::Weekend, vec![true; 3]);
-        assert_eq!(short.active.len(), INTERVALS_PER_DAY);
+        assert_eq!(short.to_line().len(), 3 + INTERVALS_PER_DAY);
         assert_eq!(short.active_intervals(), 3);
         let long = UserDay::new(DayKind::Weekend, vec![true; 500]);
-        assert_eq!(long.active.len(), INTERVALS_PER_DAY);
+        assert_eq!(long.to_line().len(), 3 + INTERVALS_PER_DAY);
+        assert_eq!(long.active_intervals(), INTERVALS_PER_DAY);
     }
 
     #[test]
