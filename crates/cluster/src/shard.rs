@@ -179,6 +179,8 @@ impl RackDay {
         for interval in lo..hi {
             self.sim.step_interval(interval, &mut self.next_plan);
         }
+        // A parked rack holds no planner buffers between barriers.
+        self.sim.manager.release_buffers();
     }
 
     /// The rack's consolidation-side load summary for the epoch planner.

@@ -31,6 +31,7 @@ use oasis_net::{TrafficAccountant, TrafficClass};
 use oasis_power::PowerState;
 use oasis_sim::stats::{Cdf, TimeSeries};
 use oasis_sim::{SimDuration, SimRng, SimTime};
+use oasis_telemetry::metrics::Counter;
 use oasis_telemetry::{
     DecisionClass, EnergyLedger, Event, HostEnergy, MigrationKind, QuiescenceLedger, RecoveryKind,
     Telemetry, VmEnergy, CLUSTER_WIDE,
@@ -187,13 +188,26 @@ pub(crate) struct Residency {
     /// visits, kept so that split never walks a host's (possibly
     /// hundreds of) idle residents to find the handful of active ones.
     pub(crate) active_vms: Bitmap,
+    /// Total demand of `active_vms`, in bytes: the weight sum of the
+    /// active-energy split.
+    pub(crate) active_demand: u64,
 }
 
 impl Residency {
     /// An empty index over `vms` VM indices.
     fn new(vms: usize) -> Self {
-        Residency { vms: Bitmap::new(vms), active_vms: Bitmap::new(vms) }
+        Residency { vms: Bitmap::new(vms), active_vms: Bitmap::new(vms), active_demand: 0 }
     }
+}
+
+/// One host's activation queues within the current interval.
+#[derive(Clone, Copy, Debug, Default)]
+struct QueueSlots {
+    /// Reintegrations queued at this home host.
+    reintegration: u32,
+    /// Concurrent promote-in-place resumes on this consolidation host
+    /// (resume storms share the destination NIC).
+    promote: u32,
 }
 
 /// Borrow of the simulator's maintained residency indices, handed to
@@ -248,11 +262,15 @@ pub struct ClusterSim {
     pub(crate) total_joules: f64,
     pub(crate) baseline_joules: f64,
     pub(crate) counts: MigrationCounts,
-    /// Reintegration queue length per home host within the interval.
-    pub(crate) reintegration_queue: std::collections::BTreeMap<HostId, u32>,
-    /// Concurrent promote-in-place resumes per consolidation host within
-    /// the interval (resume storms share the destination NIC).
-    pub(crate) promote_queue: std::collections::BTreeMap<HostId, u32>,
+    /// Per-host activation queue lengths within the interval, parallel
+    /// to `hosts`.
+    queues: Vec<QueueSlots>,
+    /// Hosts with a nonzero queue slot; the next interval zeroes just
+    /// these.
+    queued_hosts: Vec<u32>,
+    /// Cached `wol_packets_total` handle, fetched on the first wake so
+    /// the counter registers exactly when an uncached fetch would.
+    wol_packets: Option<Counter>,
     /// Per-host instant until which the vacate cooldown applies.
     pub(crate) cooldown_until: std::collections::BTreeMap<HostId, SimTime>,
     /// RNG for recovery backoff jitter. Seeded independently of the main
@@ -306,13 +324,6 @@ pub struct ClusterSim {
     /// Reusable scratch for the planner's decision ids, copied out of
     /// the manager once per round.
     decision_scratch: Vec<u64>,
-    /// Reusable scratch for the VMs a `return_home` brings back.
-    return_scratch: Vec<usize>,
-    /// Per-home indices of VMs consolidated away from that home,
-    /// ascending — exactly the set (and visit order) the old full scan
-    /// of `vms` filtered on `home == h && location != h` produced.
-    /// Maintained at the `move_vm_to` funnel (homes never change).
-    away_from_home: Vec<Vec<usize>>,
     /// Consolidation-host ids in id order; roles are fixed at
     /// construction, so the capacity-exhaustion sweep reuses this
     /// instead of re-filtering (and re-allocating) every interval.
@@ -325,11 +336,48 @@ pub struct ClusterSim {
     /// every-round exchange sweep into a walk of only the VMs that can
     /// match.
     exchange_ready: Bitmap,
-    /// Per-class working-set growth per interval, precomputed once from
-    /// the exact expression the growth loop evaluated per VM per
-    /// interval (`from_mib_f64(growth_per_min × INTERVAL_SECS / 60)`),
-    /// indexed by [`WorkloadClass::ALL`] position.
-    growth_quantum: [ByteSize; 4],
+}
+
+/// Per-class volumes the interval loop would otherwise recompute for
+/// every VM it touches. Each is evaluated once, from the exact
+/// expression it replaces, so every byte is unchanged.
+#[derive(Clone, Copy, Debug)]
+struct ClassConsts {
+    /// Working-set growth per interval:
+    /// `from_mib_f64(growth_per_min × INTERVAL_SECS / 60)`.
+    growth: ByteSize,
+    /// Demand-fetch volume of one full `growth` step:
+    /// `growth.mul_f64(COMPRESS_RATIO)`.
+    growth_fetch: ByteSize,
+    /// Growth over a consolidation epoch, added to the sampled working
+    /// set to cap it: `from_mib_f64(growth_per_min × WSS_GROWTH_WINDOW)`.
+    growth_cap: ByteSize,
+    /// Memory-server upload volume of a first consolidation
+    /// (`FIRST_UPLOAD`) and of a later one (`DIFF_UPLOAD`), scaled by
+    /// `upload_scale`.
+    first_upload: ByteSize,
+    diff_upload: ByteSize,
+}
+
+impl ClassConsts {
+    /// The constants of `class`, computed once per process.
+    fn of(class: WorkloadClass) -> &'static ClassConsts {
+        static ALL: std::sync::LazyLock<[ClassConsts; 4]> =
+            std::sync::LazyLock::new(|| WorkloadClass::ALL.map(ClassConsts::new));
+        &ALL[class_idx(class)]
+    }
+
+    fn new(class: WorkloadClass) -> Self {
+        let per_min = class.idle_model().growth_per_min.as_mib_f64();
+        let growth = ByteSize::from_mib_f64(per_min * INTERVAL_SECS / 60.0);
+        ClassConsts {
+            growth,
+            growth_fetch: growth.mul_f64(COMPRESS_RATIO),
+            growth_cap: ByteSize::from_mib_f64(per_min * WSS_GROWTH_WINDOW.as_secs_f64() / 60.0),
+            first_upload: FIRST_UPLOAD.mul_f64(upload_scale(class)),
+            diff_upload: DIFF_UPLOAD.mul_f64(upload_scale(class)),
+        }
+    }
 }
 
 /// Flash-crowd membership: a splitmix64-style hash of `(seed, vm)`
@@ -498,6 +546,7 @@ impl ClusterSim {
             residency[vm.location.0 as usize].vms.set(vi);
         }
         let home_partials = vec![0; hosts.len()];
+        let queues = vec![QueueSlots::default(); hosts.len()];
 
         let recovery_rng = SimRng::new(cfg.seed ^ 0xFA17_5EED);
         let host_energy = view
@@ -508,15 +557,9 @@ impl ClusterSim {
         let vm_energy_mj = vec![0u64; vms.len()];
         let dirty_hosts = vec![false; hosts.len()];
         let dirty_vms = vec![0; vms.len()];
-        let away_from_home = vec![Vec::new(); hosts.len()];
         let frontier_pos = vec![u32::MAX; vms.len()];
         let exchange_ready = Bitmap::new(vms.len());
         let cons_hosts: Vec<HostId> = view.consolidation_hosts().map(|h| h.id).collect();
-        let growth_quantum = WorkloadClass::ALL.map(|c| {
-            ByteSize::from_mib_f64(
-                c.idle_model().growth_per_min.as_mib_f64() * INTERVAL_SECS / 60.0,
-            )
-        });
         ClusterSim {
             cfg,
             rng,
@@ -536,8 +579,9 @@ impl ClusterSim {
             total_joules: 0.0,
             baseline_joules: 0.0,
             counts: MigrationCounts::default(),
-            reintegration_queue: std::collections::BTreeMap::new(),
-            promote_queue: std::collections::BTreeMap::new(),
+            queues,
+            queued_hosts: Vec::new(),
+            wol_packets: None,
             cooldown_until: std::collections::BTreeMap::new(),
             recovery_rng,
             ms_down: std::collections::BTreeSet::new(),
@@ -558,11 +602,8 @@ impl ClusterSim {
             frontier_pos,
             busy_scratch: Vec::new(),
             decision_scratch: Vec::new(),
-            return_scratch: Vec::new(),
-            away_from_home,
             cons_hosts,
             exchange_ready,
-            growth_quantum,
         }
     }
 
@@ -572,6 +613,8 @@ impl ClusterSim {
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.manager.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+        // The cached handle points into the previous registry.
+        self.wol_packets = None;
     }
 
     fn host_index(&self, id: HostId) -> usize {
@@ -800,15 +843,13 @@ impl ClusterSim {
     /// depends on the dead daemon. Maintains the invariant that no
     /// partial VM is ever homed at a host whose memory server is down.
     fn recover_orphans(&mut self, home: HostId) {
-        // The away index lists the VMs homed here and located elsewhere,
-        // ascending; promoting one moves nothing, so the list only loses
-        // members the filter already passed over.
-        let orphans: Vec<usize> = self.away_from_home[home.0 as usize]
-            .iter()
-            .copied()
-            .filter(|&vi| self.view.vms[vi].partial)
-            .collect();
-        for vi in orphans {
+        // Promoting a VM moves nothing and changes no other VM, so the
+        // walk meets exactly the replicas a scan up front would list.
+        for vi in self.homed_at(home) {
+            let vm = &self.view.vms[vi];
+            if !vm.partial || vm.location == home {
+                continue;
+            }
             self.promote_in_place(vi);
             let target = self.view.vms[vi].id.0;
             self.fault_counts.rehomed_vms += 1;
@@ -1015,6 +1056,10 @@ impl ClusterSim {
         }
         self.view.host_demand[s] -= demand;
         self.view.host_demand[d] += demand;
+        if active {
+            self.residency[s].active_demand -= demand.as_bytes();
+            self.residency[d].active_demand += demand.as_bytes();
+        }
         if partial {
             // A partial replica's home serves it only while it lives
             // elsewhere; track entering/leaving the home host.
@@ -1022,23 +1067,6 @@ impl ClusterSim {
                 self.home_partials[home.0 as usize] += 1;
             } else if dest == home {
                 self.home_partials[home.0 as usize] -= 1;
-            }
-        }
-        // Keep the away-from-home index in step: a VM leaving its home
-        // joins its home's away list; one arriving home leaves it.
-        if src == home {
-            let away = &mut self.away_from_home[home.0 as usize];
-            match away.binary_search(&vi) {
-                Ok(_) => debug_assert!(false, "vm {vi} already in away index"),
-                Err(pos) => away.insert(pos, vi),
-            }
-        } else if dest == home {
-            let away = &mut self.away_from_home[home.0 as usize];
-            match away.binary_search(&vi) {
-                Ok(pos) => {
-                    away.remove(pos);
-                }
-                Err(_) => debug_assert!(false, "vm {vi} missing from away index"),
             }
         }
         self.view.vms[vi].location = dest;
@@ -1055,8 +1083,13 @@ impl ClusterSim {
         if vv.partial {
             vv.partial_demand = demand;
         }
-        let sum = &mut self.view.host_demand[vv.location.0 as usize];
+        let host = vv.location.0 as usize;
+        let sum = &mut self.view.host_demand[host];
         *sum = (*sum + demand) - old;
+        if vv.state.is_active() {
+            let sum = &mut self.residency[host].active_demand;
+            *sum = (*sum + demand.as_bytes()) - old.as_bytes();
+        }
         self.sync_frontier(vi);
     }
 
@@ -1114,7 +1147,7 @@ impl ClusterSim {
     /// Sets a VM's activity state, keeping its host's active residents
     /// current.
     fn set_vm_state(&mut self, vi: usize, state: VmState) {
-        let VmView { location, partial, state: old, .. } = self.view.vms[vi];
+        let VmView { location, partial, state: old, demand, .. } = self.view.vms[vi];
         if old != state {
             self.mark_vm_dirty(vi);
         }
@@ -1132,6 +1165,12 @@ impl ClusterSim {
             let active = &mut self.residency[host].active_vms;
             let changed = if state.is_active() { active.set(vi) } else { active.clear(vi) };
             debug_assert!(changed, "active index out of step with vm {vi}");
+            let sum = &mut self.residency[host].active_demand;
+            if state.is_active() {
+                *sum += demand.as_bytes();
+            } else {
+                *sum -= demand.as_bytes();
+            }
         }
         self.view.vms[vi].state = state;
     }
@@ -1163,16 +1202,15 @@ impl ClusterSim {
     /// the upload volume.
     fn consolidate_partial(&mut self, vi: usize, dest: HostId, now: SimTime) -> ByteSize {
         let class = self.vms[vi].class;
-        let upload = if self.vms[vi].uploaded_once { DIFF_UPLOAD } else { FIRST_UPLOAD }
-            .mul_f64(upload_scale(class));
+        let consts = ClassConsts::of(class);
+        let upload =
+            if self.vms[vi].uploaded_once { consts.diff_upload } else { consts.first_upload };
+        let growth_cap = consts.growth_cap;
         self.traffic.record(TrafficClass::MemServerUpload, upload);
         self.traffic
             .record(TrafficClass::PartialDescriptor, oasis_migration::partial::DESCRIPTOR_BYTES);
         let allocation = self.view.vms[vi].allocation;
         let wss = sample_class_wss(class, &self.wss_dist, allocation, &mut self.rng);
-        let growth_cap = ByteSize::from_mib_f64(
-            class.idle_model().growth_per_min.as_mib_f64() * WSS_GROWTH_WINDOW.as_secs_f64() / 60.0,
-        );
         // The epoch's cap is set before the funnels run: they place the
         // VM on the growth frontier against it.
         let vm = &mut self.vms[vi];
@@ -1203,6 +1241,15 @@ impl ClusterSim {
             self.dirty_vms[vi] = self.dirty_epoch;
             self.dirty_vm_count += 1;
         }
+    }
+
+    /// Indices of the VMs homed at `home`: `new` gives each home host one
+    /// contiguous block of `vms_per_host` VMs, and homes never change, so
+    /// no index of away-from-home VMs has to be kept at every move.
+    fn homed_at(&self, home: HostId) -> core::ops::Range<usize> {
+        let per_host = self.cfg.vms_per_host as usize;
+        let lo = (home.0 as usize * per_host).min(self.view.vms.len());
+        lo..(lo + per_host).min(self.view.vms.len())
     }
 
     /// The VMs resident on `host`, in ascending VM-index order — an
@@ -1260,6 +1307,13 @@ impl ClusterSim {
             if cached != active {
                 return Err(format!("host {h}: cached active {cached:?} != recount {active:?}"));
             }
+            let active_demand: u64 = active.iter().map(|&i| vms[i].demand.as_bytes()).sum();
+            if r.active_demand != active_demand {
+                return Err(format!(
+                    "host {h}: cached active demand {} != recount {active_demand}",
+                    r.active_demand
+                ));
+            }
             let partials =
                 vms.iter().filter(|v| v.home == host && v.partial && v.location != host).count()
                     as u32;
@@ -1269,14 +1323,10 @@ impl ClusterSim {
                     self.home_partials[h]
                 ));
             }
-            let away: Vec<usize> = (0..vms.len())
-                .filter(|&i| vms[i].home == host && vms[i].location != host)
-                .collect();
-            if self.away_from_home[h] != away {
-                return Err(format!(
-                    "host {h}: away index {:?} != recount {away:?}",
-                    self.away_from_home[h]
-                ));
+        }
+        for (vi, vm) in vms.iter().enumerate() {
+            if !self.homed_at(vm.home).contains(&vi) {
+                return Err(format!("vm {vi}: outside the VM block of its home {:?}", vm.home));
             }
         }
         let ready: Vec<usize> = (0..vms.len())
@@ -1376,15 +1426,13 @@ impl ClusterSim {
             self.cooldown_until.insert(home, now + self.cfg.vacate_cooldown);
         }
         let mut work = 0.0;
-        // The maintained away index lists exactly the VMs the old full
-        // scan (`home == h && location != h`) found, in the same
-        // ascending order; copied out because the loop moves VMs home
-        // and mutates the index as it goes.
-        let mut members = std::mem::take(&mut self.return_scratch);
-        members.clear();
-        members.extend_from_slice(&self.away_from_home[home.0 as usize]);
-        for &i in &members {
+        // The home's VM block, ascending: the VMs a full scan for
+        // `home == h && location != h` finds, in the order it finds them.
+        for i in self.homed_at(home) {
             let VmView { id, location: from, allocation, partial, .. } = self.view.vms[i];
+            if from == home {
+                continue;
+            }
             let since = self.vms[i].consolidated_since;
             let (kind, moved, downtime) = if partial {
                 let minutes =
@@ -1414,7 +1462,6 @@ impl ClusterSim {
             self.move_vm_to(i, home);
             self.make_full(i);
         }
-        self.return_scratch = members;
         self.counts.returns_home += 1;
         Ok((work, wake_extra))
     }
@@ -1424,14 +1471,29 @@ impl ClusterSim {
     /// VM's state, so the edges are exactly the VMs whose state differs
     /// from their trace bit.
     fn apply_trace(&mut self, edges: core::ops::Range<usize>, now: SimTime) {
-        self.reintegration_queue.clear();
-        self.promote_queue.clear();
+        for h in self.queued_hosts.drain(..) {
+            self.queues[h as usize] = QueueSlots::default();
+        }
         for e in edges {
             let (vi, active) = self.session.edge(e);
             let desired = if active { VmState::Active } else { VmState::Idle };
             debug_assert_ne!(desired, self.view.vms[vi].state, "edge of vm {vi} changes nothing");
             self.apply_transition(vi, desired, now);
         }
+    }
+
+    /// Takes the next slot of `host`'s reintegration queue (`true`) or
+    /// promote queue (`false`) for this interval, returning how many
+    /// were queued ahead of it.
+    fn enqueue(&mut self, host: HostId, reintegration: bool) -> u32 {
+        let slots = &mut self.queues[host.0 as usize];
+        if slots.reintegration == 0 && slots.promote == 0 {
+            self.queued_hosts.push(host.0);
+        }
+        let slot = if reintegration { &mut slots.reintegration } else { &mut slots.promote };
+        let queued = *slot;
+        *slot += 1;
+        queued
     }
 
     /// Applies one VM's session edge to `desired` — the per-VM body of
@@ -1467,9 +1529,7 @@ impl ClusterSim {
                 // host share its NIC, so each queue position adds the
                 // transfer share of the resume latency.
                 let location = self.view.vms[vi].location;
-                let slot = self.promote_queue.entry(location).or_insert(0);
-                let queued = *slot;
-                *slot += 1;
+                let queued = self.enqueue(location, false);
                 let base = self.stretch_secs(self.cfg.reintegration_time.as_secs_f64());
                 self.delays.record(base + f64::from(queued) * base * 0.4);
             }
@@ -1502,17 +1562,19 @@ impl ClusterSim {
                 self.decisions.return_home += 1;
                 let decision = self.manager.last_decision_id();
                 let was_asleep = !self.view.hosts[self.host_index(home)].powered;
-                let slot = self.reintegration_queue.entry(home).or_insert(0);
-                let queued = *slot;
-                *slot += 1;
+                let queued = self.enqueue(home, true);
                 // The manager wakes the host with Wake-on-LAN (§4.1);
                 // lost packets are retransmitted after a one-second
                 // timeout. These draws come from the main stream and
                 // must stay ahead of any fault handling so a fault-free
                 // schedule leaves the sequence untouched.
                 let wol_wait = if was_asleep {
+                    let sent = self.wol_packets.get_or_insert_with(|| {
+                        self.telemetry.metrics().counter("wol_packets_total", &[])
+                    });
                     let wait = oasis_net::wake_with_retries(
                         &self.telemetry,
+                        sent,
                         home.0,
                         self.cfg.wol_loss_rate,
                         10.0,
@@ -1573,7 +1635,8 @@ impl ClusterSim {
         busy.clear();
         busy.resize(self.hosts.len(), 0.0);
 
-        for (ai, action) in actions.into_iter().enumerate() {
+        let scope = self.telemetry.profile("execute");
+        for (ai, &action) in actions.iter().enumerate() {
             let decision = decision_ids.get(ai).copied().unwrap_or(0);
             match action {
                 PlannedAction::Migrate { source, order } => {
@@ -1772,6 +1835,8 @@ impl ClusterSim {
                 self.set_host_power(h, offset, false);
             }
         }
+        scope.end();
+        self.manager.recycle_actions(actions);
         self.busy_scratch = busy;
         self.decision_scratch = decision_ids;
     }
@@ -1789,11 +1854,15 @@ impl ClusterSim {
             let demand = self.view.vms[vi].demand;
             debug_assert!(self.view.vms[vi].partial);
             let vm = &self.vms[vi];
-            let growth_per_interval = self.growth_quantum[class_idx(vm.class)];
-            let growth = growth_per_interval.min(vm.wss_cap.saturating_sub(demand));
+            let class = ClassConsts::of(vm.class);
+            let growth = class.growth.min(vm.wss_cap.saturating_sub(demand));
             if !growth.is_zero() {
+                fetched += if growth == class.growth {
+                    class.growth_fetch
+                } else {
+                    growth.mul_f64(COMPRESS_RATIO)
+                };
                 self.set_vm_demand(vi, demand + growth);
-                fetched += growth.mul_f64(COMPRESS_RATIO);
             }
             if self.frontier_pos[vi] != u32::MAX {
                 fi += 1;
@@ -1901,7 +1970,7 @@ impl ClusterSim {
     // oasis-lint: boundary(float-energy, "fixed per-host fold order makes the f64 sums reproducible; the attribution ledger keeps the integer-mj truth")
     fn account_energy(&mut self) {
         fn mj(joules: f64) -> u64 {
-            (joules * 1_000.0).round().max(0.0) as u64
+            oasis_sim::round_u64(joules * 1_000.0)
         }
         let ms_watts = self.cfg.memserver.active_watts;
         for h in 0..self.hosts.len() {
@@ -1980,26 +2049,29 @@ impl ClusterSim {
         }
         // The active-resident index is exactly the ascending subsequence
         // of residents the old filtered walk visited, so the share order
-        // (and the identity of `first`) is unchanged.
+        // (and the identity of `first`) is unchanged. The weight sum is
+        // the maintained `active_demand`, so one walk assigns the shares.
         let active = &self.residency[h].active_vms;
-        let mut weight_sum: u128 = 0;
+        let weight_sum = self.residency[h].active_demand;
         let count = active.count_ones() as u64;
-        for vi in active.iter_ones() {
-            debug_assert!(self.view.vms[vi].state.is_active());
-            weight_sum += u128::from(self.view.vms[vi].demand.as_bytes());
-        }
-        let Some(first) = active.iter_ones().next() else { return };
+        let mut first = None;
         let mut assigned = 0u64;
         for vi in active.iter_ones() {
-            let w = u128::from(self.view.vms[vi].demand.as_bytes());
-            // Zero total demand degrades to an equal split.
-            let share = match (u128::from(active_mj) * w).checked_div(weight_sum) {
-                Some(s) => s as u64,
-                None => active_mj / count,
+            debug_assert!(self.view.vms[vi].state.is_active());
+            first.get_or_insert(vi);
+            let w = self.view.vms[vi].demand.as_bytes();
+            // Zero total demand degrades to an equal split. A product that
+            // fits 64 bits divides in hardware; the quotient is the same
+            // floor either way.
+            let share = match active_mj.checked_mul(w) {
+                _ if weight_sum == 0 => active_mj / count,
+                Some(product) => product / weight_sum,
+                None => (u128::from(active_mj) * u128::from(w) / u128::from(weight_sum)) as u64,
             };
             self.vm_energy_mj[vi] += share;
             assigned += share;
         }
+        let Some(first) = first else { return };
         self.vm_energy_mj[first] += active_mj - assigned;
     }
 
@@ -2055,6 +2127,7 @@ impl ClusterSim {
             self.step_interval(interval, &mut next_plan);
         }
         day_scope.end();
+        self.manager.release_buffers();
         self.finish_report()
     }
 

@@ -11,7 +11,7 @@ use oasis_vm::VmId;
 
 use oasis_telemetry::{DecisionClass, Event};
 
-use crate::placement::{on_partial_activated, plan_consolidation, PlannerConfig};
+use crate::placement::{on_partial_activated, plan_consolidation, PlanBuffers, PlannerConfig};
 use crate::policy::{ActivationDecision, PlannedAction, PolicyKind};
 use crate::view::{ClusterView, ResidencyIndex};
 
@@ -70,6 +70,11 @@ pub struct ClusterManager {
     /// outcome match in [`Self::handle_activation`]. Lazy per outcome so
     /// the registered label sets stay identical to the uncached path.
     activation_counters: [Option<Counter>; 4],
+    /// The planning round's working buffers, kept across rounds so a
+    /// round allocates nothing once they have grown; boxed, and `None`
+    /// after [`Self::release_buffers`], so a manager between days holds
+    /// only a pointer.
+    buffers: Option<Box<PlanBuffers>>,
 }
 
 impl ClusterManager {
@@ -84,6 +89,7 @@ impl ClusterManager {
             last_decision_id: 0,
             planned_actions: None,
             activation_counters: [None, None, None, None],
+            buffers: None,
         }
     }
 
@@ -137,23 +143,32 @@ impl ClusterManager {
     /// index; `Some` lets the placement search borrow the caller's
     /// aggregates instead of rebuilding its own from the VM vector. The
     /// index must satisfy the [`ResidencyIndex`] contract for `view`.
+    ///
+    /// The returned vector is the manager's own action buffer; handing
+    /// it back with [`Self::recycle_actions`] once executed lets the next
+    /// round reuse its allocation.
     pub fn plan_with(
         &mut self,
         view: &ClusterView,
         index: Option<&dyn ResidencyIndex>,
     ) -> Vec<PlannedAction> {
         let round = self.stats.rounds as u32;
-        let (actions, plan_stats) = plan_consolidation(
+        let mut buffers = self.buffers.take().unwrap_or_default();
+        plan_consolidation(
             &self.telemetry,
             view,
             self.config.policy,
             &self.config.planner,
             &mut self.rng,
             index,
+            &mut buffers,
         );
+        let actions = std::mem::take(&mut buffers.actions);
         self.planned_actions_counter().add(actions.len() as u64);
         self.stats.rounds += 1;
         self.stats.actions += actions.len() as u64;
+        let audit = self.telemetry.profile("audit");
+        let plan_stats = &buffers.stats;
         self.last_plan_decision_ids.clear();
         for (i, action) in actions.iter().enumerate() {
             let decision = self.telemetry.next_decision_id();
@@ -182,7 +197,23 @@ impl ClusterManager {
             candidates: plan_stats.candidates_examined,
             demand_mib: plan_stats.demand_mib,
         });
+        audit.end();
+        self.buffers = Some(buffers);
         actions
+    }
+
+    /// Takes back the vector [`Self::plan_with`] returned, so the next
+    /// round plans into the same allocation.
+    pub fn recycle_actions(&mut self, mut actions: Vec<PlannedAction>) {
+        actions.clear();
+        self.buffers.get_or_insert_with(Box::default).actions = actions;
+    }
+
+    /// Frees the planning buffers. A rack calls this when its day (or
+    /// its share of an epoch) ends, so an idle rack holds no planner
+    /// heap; the next round grows them afresh.
+    pub fn release_buffers(&mut self) {
+        self.buffers = None;
     }
 
     /// Decision ids allocated for the last planning round, aligned with

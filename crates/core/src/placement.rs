@@ -106,15 +106,12 @@ impl<'a> HostIndex<'a> {
         HostIndex::Built { demand, residents }
     }
 
-    fn demand_on(&self, view: &ClusterView, host: HostId) -> ByteSize {
+    /// Total resident demand of the host at position `p`.
+    fn demand_at(&self, view: &ClusterView, p: usize) -> ByteSize {
         match self {
-            HostIndex::External(_) => view.demand_on(host),
-            HostIndex::Built { demand, .. } => view.pos(host).map_or(ByteSize::ZERO, |p| demand[p]),
+            HostIndex::External(_) => view.demand_on(view.hosts[p].id),
+            HostIndex::Built { demand, .. } => demand[p],
         }
-    }
-
-    fn has_residents(&self, view: &ClusterView, host: HostId) -> bool {
-        view.pos(host).is_some_and(|p| self.residents_at(p).count_ones() > 0)
     }
 
     /// The residents of the host at position `p`.
@@ -124,122 +121,150 @@ impl<'a> HostIndex<'a> {
             HostIndex::Built { residents, .. } => &residents[p],
         }
     }
-
-    /// Indices into `view.vms` of `host`'s residents, in VM-vector order.
-    fn resident_indices(
-        &self,
-        view: &ClusterView,
-        host: HostId,
-    ) -> impl Iterator<Item = usize> + '_ {
-        view.pos(host).into_iter().flat_map(move |p| self.residents_at(p).iter_ones())
-    }
-
-    fn role_of(&self, view: &ClusterView, host: HostId) -> Option<HostRole> {
-        view.pos(host).map(|p| view.hosts[p].role)
-    }
 }
 
 /// One consolidation host's planned capacity state.
 #[derive(Clone, Copy, Debug)]
 struct LedgerEntry {
     id: HostId,
+    /// Position of the host in `view.hosts`.
+    view_pos: u32,
     /// Free bytes after planned placements.
     free: ByteSize,
     /// Powered state (including planned wakes).
     powered: bool,
+    /// Whether the placement filter may pick this host: powered, and
+    /// not excluded by the drain pass (the host being drained, a host
+    /// already drained, or a wake of a suppressed vacate plan).
+    usable: bool,
+    /// Woken by this plan.
+    woken: bool,
 }
 
 /// Tracks planned capacity changes during one planning round.
 ///
-/// Stored as a vector sorted by ascending [`HostId`] — the same order a
-/// `BTreeMap<HostId, _>` would iterate in — so candidate lists, and
-/// therefore every `rng.choose` index, are unchanged from the map-based
-/// implementation this replaced. The planner touches the ledger once or
-/// twice per VM, and a handful of hosts fit in a cache line where the
-/// map chased pointers.
+/// One entry per consolidation host, sorted by ascending [`HostId`] —
+/// the order a `BTreeMap<HostId, _>` would iterate in — so candidate
+/// lists, and therefore every `rng.choose` index, follow host ids.
+/// Candidates, picks, reservations and releases all address entries by
+/// position, so no per-VM step searches the ledger.
+#[derive(Clone, Debug, Default)]
 struct CapacityLedger {
     entries: Vec<LedgerEntry>,
+    /// Entry position of each host position in `view.hosts`, or
+    /// `u32::MAX` for a compute host.
+    entry_of: Vec<u32>,
     /// Hosts this plan wakes.
-    woken: Vec<HostId>,
+    woken: u32,
 }
 
 impl CapacityLedger {
-    fn new(view: &ClusterView, index: &HostIndex, headroom: ByteSize) -> Self {
-        let mut entries: Vec<LedgerEntry> = view
-            .consolidation_hosts()
-            .map(|h| {
-                let unreserved = h.capacity.saturating_sub(index.demand_on(view, h.id));
-                LedgerEntry {
-                    id: h.id,
-                    free: unreserved.saturating_sub(headroom),
-                    powered: h.powered,
-                }
-            })
-            .collect();
-        entries.sort_by_key(|e| e.id);
-        CapacityLedger { entries, woken: Vec::new() }
+    /// Refills the ledger from `view`, reusing its buffers.
+    fn reset(&mut self, view: &ClusterView, index: &HostIndex, headroom: ByteSize) {
+        self.entries.clear();
+        for (p, h) in view.hosts.iter().enumerate() {
+            if h.role != HostRole::Consolidation {
+                continue;
+            }
+            let unreserved = h.capacity.saturating_sub(index.demand_at(view, p));
+            self.entries.push(LedgerEntry {
+                id: h.id,
+                view_pos: p as u32,
+                free: unreserved.saturating_sub(headroom),
+                powered: h.powered,
+                usable: h.powered,
+                woken: false,
+            });
+        }
+        // Ids are unique, so the unstable sort orders exactly as a
+        // stable one would (and is a no-op on the simulator's id-ordered
+        // hosts).
+        self.entries.sort_unstable_by_key(|e| e.id);
+        self.entry_of.clear();
+        self.entry_of.resize(view.hosts.len(), u32::MAX);
+        for (i, e) in self.entries.iter().enumerate() {
+            self.entry_of[e.view_pos as usize] = i as u32;
+        }
+        self.woken = 0;
     }
 
-    fn entry_pos(&self, host: HostId) -> usize {
-        self.entries.binary_search_by_key(&host, |e| e.id).expect("known consolidation host")
+    /// Writes the positions of the usable entries that can fit `need`
+    /// into the front of `out` (which holds one slot per entry), in
+    /// ascending id order, and returns how many there are. Every slot
+    /// is written and the count advances by the predicate, so the loop
+    /// has no data-dependent branch.
+    fn candidates(&self, need: ByteSize, out: &mut [u32]) -> usize {
+        let mut n = 0;
+        for (i, e) in self.entries.iter().enumerate() {
+            out[n] = i as u32;
+            n += usize::from(e.usable & (e.free >= need));
+        }
+        n
     }
 
-    fn free_of(&self, host: HostId) -> ByteSize {
-        self.entries[self.entry_pos(host)].free
-    }
-
-    /// Powered consolidation hosts that can fit `need`, in ascending id
-    /// order, collected into the caller's scratch buffer.
-    fn powered_candidates_into(&self, need: ByteSize, out: &mut Vec<HostId>) {
-        out.clear();
-        out.extend(self.entries.iter().filter(|e| e.powered && e.free >= need).map(|e| e.id));
-    }
-
-    /// Picks among `candidates` according to the strategy.
+    /// Picks among `candidates` (entry positions) according to the
+    /// strategy.
     fn choose(
         &self,
-        candidates: &[HostId],
+        candidates: &[u32],
         strategy: PlacementStrategy,
         rng: &mut SimRng,
-    ) -> Option<HostId> {
-        match strategy {
-            PlacementStrategy::Random => rng.choose(candidates).copied(),
-            PlacementStrategy::FirstFit => candidates.iter().min().copied(),
-            PlacementStrategy::BestFit => {
-                candidates.iter().min_by_key(|&&id| (self.free_of(id), id)).copied()
-            }
-            PlacementStrategy::WorstFit => {
-                candidates.iter().max_by_key(|&&id| (self.free_of(id), id)).copied()
-            }
-        }
+    ) -> Option<usize> {
+        let key = |&&p: &&u32| {
+            let e = &self.entries[p as usize];
+            (e.free, e.id)
+        };
+        let pick = match strategy {
+            PlacementStrategy::Random => rng.choose(candidates),
+            // Positions ascend with ids: the first is the lowest id.
+            PlacementStrategy::FirstFit => candidates.first(),
+            PlacementStrategy::BestFit => candidates.iter().min_by_key(key),
+            PlacementStrategy::WorstFit => candidates.iter().max_by_key(key),
+        };
+        pick.map(|&p| p as usize)
     }
 
     /// Wakes the sleeping host with the most free space that fits `need`.
     ///
     /// Ties break toward the highest id, matching `max_by_key` over the
     /// old map's ascending iteration (the last maximal element wins).
-    fn wake_for(&mut self, need: ByteSize) -> Option<HostId> {
-        let best = self
+    fn wake_for(&mut self, need: ByteSize) -> Option<usize> {
+        let (pos, _) = self
             .entries
             .iter()
-            .filter(|e| !e.powered && e.free >= need)
-            .max_by_key(|e| e.free)
-            .map(|e| e.id)?;
-        let pos = self.entry_pos(best);
-        self.entries[pos].powered = true;
-        self.woken.push(best);
-        Some(best)
+            .enumerate()
+            .filter(|(_, e)| !e.powered && e.free >= need)
+            .max_by_key(|(_, e)| e.free)?;
+        let e = &mut self.entries[pos];
+        e.powered = true;
+        e.usable = true;
+        e.woken = true;
+        self.woken += 1;
+        Some(pos)
     }
 
-    fn reserve(&mut self, host: HostId, need: ByteSize) {
-        let pos = self.entry_pos(host);
+    fn reserve(&mut self, pos: usize, need: ByteSize) {
         let free = &mut self.entries[pos].free;
         *free = free.saturating_sub(need);
     }
 
-    fn release(&mut self, host: HostId, amount: ByteSize) {
-        let pos = self.entry_pos(host);
+    fn release(&mut self, pos: usize, amount: ByteSize) {
         self.entries[pos].free += amount;
+    }
+
+    /// Copies the free column into `out`.
+    fn save_free(&self, out: &mut Vec<ByteSize>) {
+        out.clear();
+        out.extend(self.entries.iter().map(|e| e.free));
+    }
+
+    /// Puts back a free column saved by [`Self::save_free`]. This undoes
+    /// a failed host scan's reservations exactly: every reservation went
+    /// to a host with `free ≥ need`, so none of them saturated.
+    fn restore_free(&mut self, saved: &[ByteSize]) {
+        for (e, &free) in self.entries.iter_mut().zip(saved) {
+            e.free = free;
+        }
     }
 }
 
@@ -270,11 +295,36 @@ pub struct PlanStats {
     pub demand_mib: u64,
 }
 
-/// Plans one consolidation interval: returns the actions to execute and
-/// the round's [`PlanStats`] for the audit trail. A non-`AlwaysOn` round
-/// runs inside a `plan_consolidation` profiler scope, so its cost shows
-/// up in the call tree. The `planned_actions_total` counter is the
-/// manager's job (it caches the handle across rounds).
+/// Everything one planning round writes: its result and its working
+/// buffers. A caller that keeps one across rounds (as
+/// [`ClusterManager`](crate::ClusterManager) does) makes a round
+/// allocate nothing once the buffers have grown to the rack's size.
+/// Nothing carries from one round to the next: every buffer is refilled
+/// before it is read.
+#[derive(Clone, Debug, Default)]
+pub struct PlanBuffers {
+    /// The round's actions, in execution order.
+    pub actions: Vec<PlannedAction>,
+    /// The round's stats; `action_candidates` is aligned with `actions`.
+    pub stats: PlanStats,
+    ledger: CapacityLedger,
+    /// One slot per ledger entry; a filter writes its candidates to the
+    /// front.
+    candidates: Vec<u32>,
+    /// The host queue being scanned: `(demand, id, position)`, where the
+    /// position is a host position for the vacate pass and a ledger
+    /// position for the drain pass.
+    queue: Vec<(ByteSize, HostId, u32)>,
+    /// The ledger's free column as it stood before the current scan.
+    saved_free: Vec<ByteSize>,
+}
+
+/// Plans one consolidation interval into `buf`: `buf.actions` receives
+/// the actions to execute and `buf.stats` the round's [`PlanStats`] for
+/// the audit trail. A non-`AlwaysOn` round runs inside a
+/// `plan_consolidation` profiler scope, so its cost shows up in the call
+/// tree. The `planned_actions_total` counter is the manager's job (it
+/// caches the handle across rounds).
 pub fn plan_consolidation(
     telemetry: &oasis_telemetry::Telemetry,
     view: &ClusterView,
@@ -282,7 +332,8 @@ pub fn plan_consolidation(
     config: &PlannerConfig,
     rng: &mut SimRng,
     external: Option<&dyn ResidencyIndex>,
-) -> (Vec<PlannedAction>, PlanStats) {
+    buf: &mut PlanBuffers,
+) {
     // With a maintained `host_demand` aggregate the cluster-wide demand
     // is the sum of the per-host integer sums — bit-equal to the VM
     // scan (integer adds commute) at O(hosts) instead of O(VMs).
@@ -291,17 +342,21 @@ pub fn plan_consolidation(
     } else {
         view.vms.iter().map(|v| v.demand).sum::<ByteSize>()
     };
-    let mut stats = PlanStats { demand_mib: total_demand.as_mib(), ..PlanStats::default() };
+    let PlanBuffers { actions, stats, ledger, candidates, queue, saved_free } = buf;
+    actions.clear();
+    let mut action_candidates = std::mem::take(&mut stats.action_candidates);
+    action_candidates.clear();
+    *stats =
+        PlanStats { action_candidates, demand_mib: total_demand.as_mib(), ..PlanStats::default() };
     if policy == PolicyKind::AlwaysOn {
-        return (Vec::new(), stats);
+        return;
     }
 
     let scope = telemetry.profile("plan_consolidation");
     let index = HostIndex::new(view, external);
-    let mut ledger = CapacityLedger::new(view, &index, config.promotion_headroom);
-    let mut actions = Vec::new();
-    // Candidate scratch, reused across every per-VM query in the round.
-    let mut candidates: Vec<HostId> = Vec::new();
+    ledger.reset(view, &index, config.promotion_headroom);
+    candidates.clear();
+    candidates.resize(ledger.entries.len(), 0);
 
     // Exchange pass (§3.2 FulltoPartial): a full VM gone idle on a
     // consolidation host is swapped for a partial replica of itself,
@@ -315,9 +370,10 @@ pub fn plan_consolidation(
         // from it, is identical either way.
         let mut sweep = |vm: &VmView| {
             let on_consolidation =
-                index.role_of(view, vm.location) == Some(HostRole::Consolidation);
+                view.pos(vm.location).filter(|&p| view.hosts[p].role == HostRole::Consolidation);
             let has_remote_home = vm.home != vm.location;
-            if on_consolidation && !vm.partial && vm.state == VmState::Idle && has_remote_home {
+            let exchangeable = !vm.partial && vm.state == VmState::Idle && has_remote_home;
+            if let (Some(p), true) = (on_consolidation, exchangeable) {
                 actions.push(PlannedAction::Exchange {
                     vm: vm.id,
                     home: vm.home,
@@ -326,8 +382,8 @@ pub fn plan_consolidation(
                 stats.action_candidates.push(1);
                 stats.exchanges += 1;
                 stats.candidates_examined += 1;
-                ledger.release(vm.location, vm.allocation.saturating_sub(vm.partial_demand));
-                ledger.reserve(vm.location, ByteSize::ZERO);
+                let entry = ledger.entry_of[p] as usize;
+                ledger.release(entry, vm.allocation.saturating_sub(vm.partial_demand));
             }
         };
         match external.and_then(|e| e.full_idle_consolidated()) {
@@ -344,32 +400,39 @@ pub fn plan_consolidation(
         }
         pass.end();
     }
+    let exchanged = actions.len();
 
     // Vacate pass: queue of powered compute hosts by ascending demand.
+    // Each host scan pushes its placements straight onto the action
+    // list; a scan that fails truncates them away and restores the
+    // ledger's free column (its wakes stay, as they always have).
     let pass = telemetry.profile("vacate_pass");
-    let mut queue: Vec<HostId> = view
-        .compute_hosts()
-        .filter(|h| h.powered && h.vacatable && index.has_residents(view, h.id))
-        .map(|h| h.id)
-        .collect();
-    queue.sort_by_key(|&h| (index.demand_on(view, h), h));
+    queue.clear();
+    for (p, h) in view.hosts.iter().enumerate() {
+        if h.role == HostRole::Compute
+            && h.powered
+            && h.vacatable
+            && index.residents_at(p).count_ones() > 0
+        {
+            queue.push((index.demand_at(view, p), h.id, p as u32));
+        }
+    }
+    // `(demand, id)` keys are unique, so the unstable sort is exact.
+    queue.sort_unstable_by_key(|&(demand, id, _)| (demand, id));
 
-    let mut vacated = 0usize;
-    let mut vacate_actions = Vec::new();
-    let mut vacate_candidates = Vec::new();
-    // Tentative placements for the host being scanned, hoisted so one
-    // buffer serves every scan of the round.
-    let mut tentative: Vec<(PlannedAction, HostId, ByteSize, u32)> = Vec::new();
-    for host in queue {
+    let mut vacated = 0u32;
+    for &(_, host, hp) in queue.iter() {
         let _host_scan = telemetry.profile("vacate_host_scan");
+        let residents = index.residents_at(hp as usize);
         if policy == PolicyKind::OnlyPartial
-            && index.resident_indices(view, host).any(|vi| view.vms[vi].state.is_active())
+            && residents.iter_ones().any(|vi| view.vms[vi].state.is_active())
         {
             continue; // Cannot vacate a host with active VMs.
         }
-        tentative.clear();
+        let start = actions.len();
+        ledger.save_free(saved_free);
         let mut ok = true;
-        for vi in index.resident_indices(view, host) {
+        for vi in residents.iter_ones() {
             let vm = &view.vms[vi];
             let (kind, need) = match (policy, vm.state) {
                 (PolicyKind::FullOnly, _) | (_, VmState::Active) => {
@@ -377,10 +440,10 @@ pub fn plan_consolidation(
                 }
                 (_, VmState::Idle) => (MigrationType::Partial, vm.partial_demand),
             };
-            ledger.powered_candidates_into(need, &mut candidates);
-            let mut examined = candidates.len() as u32;
+            let n = ledger.candidates(need, candidates);
+            let mut examined = n as u32;
             stats.candidates_examined += examined;
-            let destination = match ledger.choose(&candidates, config.strategy, rng) {
+            let destination = match ledger.choose(&candidates[..n], config.strategy, rng) {
                 Some(d) => d,
                 // Waking an additional consolidation host is justified by
                 // idle working sets, not by active VMs: a consolidated
@@ -408,41 +471,40 @@ pub fn plan_consolidation(
                 }
             };
             ledger.reserve(destination, need);
-            tentative.push((
-                PlannedAction::Migrate {
-                    source: host,
-                    order: MigrationOrder { vm: vm.id, kind, destination },
-                },
-                destination,
-                need,
-                examined,
-            ));
+            let destination = ledger.entries[destination].id;
+            actions.push(PlannedAction::Migrate {
+                source: host,
+                order: MigrationOrder { vm: vm.id, kind, destination },
+            });
+            stats.action_candidates.push(examined);
         }
         if ok {
             vacated += 1;
-            for (a, _, _, examined) in tentative.drain(..) {
-                vacate_actions.push(a);
-                vacate_candidates.push(examined);
-            }
         } else {
-            for (_, dest, need, _) in tentative.drain(..) {
-                ledger.release(dest, need);
-            }
+            actions.truncate(start);
+            stats.action_candidates.truncate(start);
+            ledger.restore_free(saved_free);
         }
     }
     pass.end();
 
     // Net-energy check: do the vacated homes pay for the newly woken
-    // consolidation hosts?
-    let saving = vacated as f64 * config.home_sleep_saving_watts;
-    let cost = ledger.woken.len() as f64 * config.consolidation_power_watts;
+    // consolidation hosts? An unapproved plan's placements go; its
+    // reservations stay in the ledger.
+    let saving = f64::from(vacated) * config.home_sleep_saving_watts;
+    let cost = f64::from(ledger.woken) * config.consolidation_power_watts;
     let vacates_approved = saving > cost;
     stats.approved = vacates_approved;
-    stats.woken = ledger.woken.len() as u32;
-    stats.vacated = vacated as u32;
-    if vacates_approved {
-        actions.extend(vacate_actions);
-        stats.action_candidates.extend(vacate_candidates);
+    stats.woken = ledger.woken;
+    stats.vacated = vacated;
+    if !vacates_approved {
+        actions.truncate(exchanged);
+        stats.action_candidates.truncate(exchanged);
+        // The suppressed plan's tentatively woken hosts are not
+        // actually powering on: the drain pass must not use them.
+        for e in ledger.entries.iter_mut().filter(|e| e.woken) {
+            e.usable = false;
+        }
     }
 
     // Drain pass: consolidation hosts left underused (e.g. after the
@@ -451,45 +513,41 @@ pub fn plan_consolidation(
     // (§5.2). Draining never wakes a host, so it is a pure win for the
     // powered-host count.
     let pass = telemetry.profile("drain_pass");
-    let mut drain_queue: Vec<HostId> = view
-        .consolidation_hosts()
-        .filter(|h| h.powered && index.has_residents(view, h.id))
-        .map(|h| h.id)
-        .collect();
-    drain_queue.sort_by_key(|&h| (index.demand_on(view, h), h));
-    let mut drained: Vec<HostId> = Vec::new();
-    for host in drain_queue {
+    queue.clear();
+    for (ep, e) in ledger.entries.iter().enumerate() {
+        let p = e.view_pos as usize;
+        if view.hosts[p].powered && index.residents_at(p).count_ones() > 0 {
+            queue.push((index.demand_at(view, p), e.id, ep as u32));
+        }
+    }
+    queue.sort_unstable_by_key(|&(demand, id, _)| (demand, id));
+    let mut drained = 0u32;
+    for &(_, host, ep) in queue.iter() {
         let _host_scan = telemetry.profile("drain_host_scan");
-        tentative.clear();
+        let ep = ep as usize;
+        let start = actions.len();
+        ledger.save_free(saved_free);
+        // A host never drains into itself; once drained it stays out.
+        let was_usable = std::mem::replace(&mut ledger.entries[ep].usable, false);
         let mut ok = true;
-        for vi in index.resident_indices(view, host) {
+        for vi in index.residents_at(ledger.entries[ep].view_pos as usize).iter_ones() {
             let vm = &view.vms[vi];
             let (kind, need) = if vm.partial {
                 (MigrationType::Partial, vm.demand)
             } else {
                 (MigrationType::Full, vm.allocation)
             };
-            // When the vacate plan was suppressed, its tentatively woken
-            // hosts are not actually powering on: exclude them.
-            ledger.powered_candidates_into(need, &mut candidates);
-            candidates.retain(|&d| {
-                d != host
-                    && !drained.contains(&d)
-                    && (vacates_approved || !ledger.woken.contains(&d))
-            });
-            stats.candidates_examined += candidates.len() as u32;
-            match ledger.choose(&candidates, config.strategy, rng) {
+            let n = ledger.candidates(need, candidates);
+            stats.candidates_examined += n as u32;
+            match ledger.choose(&candidates[..n], config.strategy, rng) {
                 Some(destination) => {
                     ledger.reserve(destination, need);
-                    tentative.push((
-                        PlannedAction::Migrate {
-                            source: host,
-                            order: MigrationOrder { vm: vm.id, kind, destination },
-                        },
-                        destination,
-                        need,
-                        candidates.len() as u32,
-                    ));
+                    let destination = ledger.entries[destination].id;
+                    actions.push(PlannedAction::Migrate {
+                        source: host,
+                        order: MigrationOrder { vm: vm.id, kind, destination },
+                    });
+                    stats.action_candidates.push(n as u32);
                 }
                 None => {
                     ok = false;
@@ -498,22 +556,18 @@ pub fn plan_consolidation(
             }
         }
         if ok {
-            drained.push(host);
-            for (a, _, _, examined) in tentative.drain(..) {
-                actions.push(a);
-                stats.action_candidates.push(examined);
-            }
+            drained += 1;
         } else {
-            for (_, dest, need, _) in tentative.drain(..) {
-                ledger.release(dest, need);
-            }
+            actions.truncate(start);
+            stats.action_candidates.truncate(start);
+            ledger.restore_free(saved_free);
+            ledger.entries[ep].usable = was_usable;
         }
     }
-    stats.drained = drained.len() as u32;
+    stats.drained = drained;
     pass.end();
     scope.end();
     debug_assert_eq!(stats.action_candidates.len(), actions.len());
-    (actions, stats)
 }
 
 /// Handles a partial VM that became active (§3.2 state-change policies).
@@ -574,8 +628,10 @@ mod tests {
         config: &PlannerConfig,
         rng: &mut SimRng,
     ) -> Vec<PlannedAction> {
-        plan_consolidation(&oasis_telemetry::Telemetry::disabled(), view, policy, config, rng, None)
-            .0
+        let mut buf = PlanBuffers::default();
+        let telemetry = oasis_telemetry::Telemetry::disabled();
+        plan_consolidation(&telemetry, view, policy, config, rng, None, &mut buf);
+        buf.actions
     }
 
     /// Planner config without promotion headroom, for tests that size
@@ -804,29 +860,32 @@ mod tests {
         view.hosts[3].capacity = ByteSize::gib(100);
         let need = ByteSize::gib(4);
         let index = HostIndex::new(&view, None);
-        let ledger = CapacityLedger::new(&view, &index, ByteSize::ZERO);
-        let mut candidates = Vec::new();
-        ledger.powered_candidates_into(need, &mut candidates);
-        assert_eq!(candidates.len(), 3);
+        let mut ledger = CapacityLedger::default();
+        ledger.reset(&view, &index, ByteSize::ZERO);
+        let mut slots = vec![0; ledger.entries.len()];
+        let n = ledger.candidates(need, &mut slots);
+        let candidates = &slots[..n];
+        assert_eq!(candidates, [0, 1, 2], "every host fits, in id order");
         let mut rng = SimRng::new(1);
+        let id = |pick: Option<usize>| pick.map(|p| ledger.entries[p].id);
         assert_eq!(
-            ledger.choose(&candidates, PlacementStrategy::BestFit, &mut rng),
+            id(ledger.choose(candidates, PlacementStrategy::BestFit, &mut rng)),
             Some(HostId(1)),
             "least free space"
         );
         assert_eq!(
-            ledger.choose(&candidates, PlacementStrategy::WorstFit, &mut rng),
+            id(ledger.choose(candidates, PlacementStrategy::WorstFit, &mut rng)),
             Some(HostId(2)),
             "most free space"
         );
         assert_eq!(
-            ledger.choose(&candidates, PlacementStrategy::FirstFit, &mut rng),
+            id(ledger.choose(candidates, PlacementStrategy::FirstFit, &mut rng)),
             Some(HostId(1)),
             "lowest id"
         );
         let picked =
-            ledger.choose(&candidates, PlacementStrategy::Random, &mut rng).expect("non-empty");
-        assert!(candidates.contains(&picked));
+            ledger.choose(candidates, PlacementStrategy::Random, &mut rng).expect("non-empty");
+        assert!(candidates.contains(&(picked as u32)));
         assert_eq!(ledger.choose(&[], PlacementStrategy::Random, &mut rng), None);
     }
 

@@ -115,19 +115,8 @@ impl Bitmap {
     }
 
     /// Iterates over the indices of set bits, in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let mut w = w;
-            core::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + bit)
-                }
-            })
-        })
+    pub fn iter_ones(&self) -> Ones<'_> {
+        Ones { words: &self.words, base: 0, word: self.words.first().copied().unwrap_or(0) }
     }
 
     /// Takes the set bits: returns their indices and clears the bitmap.
@@ -150,6 +139,36 @@ impl Bitmap {
             ones += a.count_ones() as usize;
         }
         self.ones = ones;
+    }
+}
+
+/// Iterator over the set bits of a [`Bitmap`], ascending; see
+/// [`Bitmap::iter_ones`].
+#[derive(Clone, Debug)]
+pub struct Ones<'a> {
+    /// The words after the current one.
+    words: &'a [u64],
+    /// Bit index of the current word's bit 0.
+    base: usize,
+    /// The current word's set bits not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (_, rest) = self.words.split_first()?;
+            let &next = rest.first()?;
+            self.words = rest;
+            self.base += 64;
+            self.word = next;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -187,6 +206,7 @@ mod tests {
         }
         let ones: Vec<usize> = b.iter_ones().collect();
         assert_eq!(ones, vec![3, 64, 65, 127, 128, 199]);
+        assert_eq!(Bitmap::new(0).iter_ones().next(), None);
     }
 
     #[test]

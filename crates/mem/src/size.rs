@@ -54,7 +54,7 @@ impl ByteSize {
         if m <= 0.0 || !m.is_finite() {
             return ByteSize(0);
         }
-        ByteSize((m * MIB as f64).round() as u64)
+        ByteSize(oasis_sim::round_u64(m * MIB as f64))
     }
 
     /// Raw byte count.
@@ -97,7 +97,7 @@ impl ByteSize {
         if k <= 0.0 || !k.is_finite() {
             return ByteSize(0);
         }
-        ByteSize((self.0 as f64 * k).round() as u64)
+        ByteSize(oasis_sim::round_u64(self.0 as f64 * k))
     }
 
     /// Number of whole pages of `page_size` needed to hold this size.

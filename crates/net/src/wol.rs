@@ -8,6 +8,7 @@
 
 use oasis_faults::RetryPolicy;
 use oasis_sim::{SimDuration, SimRng};
+use oasis_telemetry::metrics::Counter;
 use oasis_telemetry::{Event, Telemetry};
 
 /// A MAC address.
@@ -87,8 +88,9 @@ pub struct WolOutcome {
 /// The first magic packet goes out immediately; each lost packet is
 /// re-sent after the policy's delay for that attempt, until one gets
 /// through or `policy.max_attempts` retransmissions have been spent.
-/// Every packet increments the `wol_packets_total` counter and each
-/// retry emits a [`Event::WolRetry`] on the bus.
+/// Every packet increments `sent` (the caller's `wol_packets_total`
+/// handle, fetched once rather than per wake) and each retry emits a
+/// [`Event::WolRetry`] on the bus.
 ///
 /// Loss draws come before the attempt-budget check and a zero-jitter
 /// policy delay consumes no randomness, so with [`RetryPolicy::wol`]
@@ -96,6 +98,7 @@ pub struct WolOutcome {
 /// did — fixed-seed runs are unchanged by the refactor.
 pub fn wake_with_policy(
     telemetry: &Telemetry,
+    sent: &Counter,
     host: u32,
     loss_rate: f64,
     policy: &RetryPolicy,
@@ -103,7 +106,6 @@ pub fn wake_with_policy(
 ) -> WolOutcome {
     let packet = MagicPacket::new(MacAddr::for_host(host));
     debug_assert!(MagicPacket::parse(&packet.to_bytes()).is_some());
-    let sent = telemetry.metrics().counter("wol_packets_total", &[]);
     sent.inc();
     let mut waited = SimDuration::ZERO;
     let mut attempt = 0u32;
@@ -128,16 +130,18 @@ pub fn wake_with_policy(
 
 /// Models waking a sleeping host with the standard one-packet-per-second
 /// schedule, giving up after `max_wait_secs` of retrying. Returns the
-/// seconds spent waiting (0.0 when the first packet lands).
+/// seconds spent waiting (0.0 when the first packet lands). Every packet
+/// increments `sent`.
 pub fn wake_with_retries(
     telemetry: &Telemetry,
+    sent: &Counter,
     host: u32,
     loss_rate: f64,
     max_wait_secs: f64,
     rng: &mut SimRng,
 ) -> f64 {
     let policy = RetryPolicy::constant(SimDuration::from_secs(1), max_wait_secs.ceil() as u32);
-    wake_with_policy(telemetry, host, loss_rate, &policy, rng).waited_secs
+    wake_with_policy(telemetry, sent, host, loss_rate, &policy, rng).waited_secs
 }
 
 #[cfg(test)]
@@ -169,7 +173,8 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut rng = SimRng::new(1);
         let mut untouched = SimRng::new(1);
-        let out = wake_with_policy(&tel, 1, 0.0, &RetryPolicy::wol(), &mut rng);
+        let out =
+            wake_with_policy(&tel, &Counter::default(), 1, 0.0, &RetryPolicy::wol(), &mut rng);
         assert_eq!(out, WolOutcome { waited_secs: 0.0, attempts: 0, delivered: true });
         assert_eq!(rng.next_u64(), untouched.next_u64());
     }
@@ -179,8 +184,10 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut rng = SimRng::new(2);
         let policy = RetryPolicy::wol();
-        let out = wake_with_policy(&tel, 1, 1.0, &policy, &mut rng);
+        let sent = Counter::default();
+        let out = wake_with_policy(&tel, &sent, 1, 1.0, &policy, &mut rng);
         assert_eq!(out.attempts, policy.max_attempts);
+        assert_eq!(sent.get(), u64::from(policy.max_attempts) + 1, "every packet is counted");
         assert_eq!(out.waited_secs, policy.max_attempts as f64);
         assert!(!out.delivered, "a fully lossy link must report non-delivery");
     }
@@ -191,8 +198,8 @@ mod tests {
         let policy = RetryPolicy::recovery();
         let mut a = SimRng::new(7);
         let mut b = SimRng::new(7);
-        let out_a = wake_with_policy(&tel, 3, 1.0, &policy, &mut a);
-        let out_b = wake_with_policy(&tel, 3, 1.0, &policy, &mut b);
+        let out_a = wake_with_policy(&tel, &Counter::default(), 3, 1.0, &policy, &mut a);
+        let out_b = wake_with_policy(&tel, &Counter::default(), 3, 1.0, &policy, &mut b);
         assert_eq!(out_a, out_b, "same seed, same jittered schedule");
         assert!(!out_a.delivered);
         assert!(out_a.waited_secs <= policy.max_total_delay().as_secs_f64());
@@ -219,7 +226,7 @@ mod tests {
             for loss in [0.0, 0.3, 0.9, 1.0] {
                 assert_eq!(
                     historical(loss, 10.0, &mut old),
-                    wake_with_retries(&tel, 5, loss, 10.0, &mut new),
+                    wake_with_retries(&tel, &Counter::default(), 5, loss, 10.0, &mut new),
                     "seed {seed} loss {loss}"
                 );
             }

@@ -9,6 +9,7 @@
 //! * [`engine`] — a generic event queue and driver ([`engine::Engine`]).
 //! * [`stats`] — counters, time-weighted averages, CDFs and
 //!   time series used to produce every figure and table.
+//! * [`num`] — exact float-to-integer rounding ([`round_u64`]).
 //! * [`pool`] — a scoped-thread worker pool ([`pool::WorkerPool`]) that
 //!   fans independent seeded runs across cores while keeping results in
 //!   input order, so parallel output is byte-identical to sequential.
@@ -21,12 +22,14 @@
 
 pub mod check;
 pub mod engine;
+pub mod num;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, EventQueue};
+pub use num::round_u64;
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -108,7 +108,7 @@ impl SimDuration {
         if us >= u64::MAX as f64 {
             SimDuration(u64::MAX)
         } else {
-            SimDuration(us.round() as u64)
+            SimDuration(crate::round_u64(us))
         }
     }
 
