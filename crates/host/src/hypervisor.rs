@@ -61,6 +61,16 @@ pub enum GuestAccess {
     FaultPending(PageNum),
 }
 
+/// How the accesses of one [`Hypervisor::access_run`] resolved.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunAccess {
+    /// Accesses to resident pages.
+    pub hits: u64,
+    /// Accesses to absent pages. The run installs nothing for them: each
+    /// counts as one [`GuestAccess::FaultPending`] the caller let pass.
+    pub faults: u64,
+}
+
 /// A VM hosted by this hypervisor.
 #[derive(Clone, Debug)]
 pub struct HostedVm {
@@ -185,6 +195,59 @@ impl Hypervisor {
         }
     }
 
+    /// Routes accesses to pages `start..start + n` in ascending order,
+    /// drawing each page's write flag from `write` in that order.
+    ///
+    /// The outcome is that of calling
+    /// [`guest_access`](Hypervisor::guest_access) on each page with its
+    /// flag: the same present, working-set and dirty bits, hit and fault
+    /// counts, draws, and first error (after the failing page's draw).
+    /// A fault installs nothing and the run goes on; see [`RunAccess`].
+    /// The work is done a 64-page word at a time: the draws fill a write
+    /// mask, and each bitmap takes one masked update per word.
+    pub fn access_run(
+        &mut self,
+        id: VmId,
+        start: PageNum,
+        n: u64,
+        mut write: impl FnMut() -> bool,
+    ) -> Result<RunAccess, HvError> {
+        let mut run = RunAccess::default();
+        if n == 0 {
+            return Ok(run);
+        }
+        let Some(hosted) = self.vms.get_mut(&id) else {
+            write();
+            return Err(HvError::UnknownVm(id));
+        };
+        let end = start.0.saturating_add(n);
+        // Pages from `stop` on are beyond the VM: the first of them fails.
+        let stop = end.min(hosted.table.num_pages()).max(start.0);
+        let mut p = start.0;
+        while p < stop {
+            let (w, bit) = ((p / 64) as usize, p % 64);
+            let span = (64 - bit).min(stop - p);
+            let range = (u64::MAX >> (64 - span)) << bit;
+            let mut writes = 0u64;
+            for b in bit..bit + span {
+                writes |= u64::from(write()) << b;
+            }
+            let present = hosted.table.present_word(w) & range;
+            hosted.wss.touch_word(w, present);
+            hosted.dirty.record_word(w, present & writes);
+            run.hits += u64::from(present.count_ones());
+            run.faults += u64::from((range & !present).count_ones());
+            p += span;
+        }
+        self.hits.add(run.hits);
+        self.faults.add(run.faults);
+        if stop < end {
+            write();
+            return Err(HvError::BadPage(id, PageNum(stop)));
+        }
+        Ok(run)
+    }
+
     /// Completes a fault: allocates a frame from the chunk allocator and
     /// installs the fetched page, then replays the access.
     pub fn install_fetched(&mut self, id: VmId, page: PageNum, write: bool) -> Result<(), HvError> {
@@ -204,6 +267,8 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use oasis_mem::compress::PageMix;
+    use oasis_sim::SimRng;
+    use oasis_telemetry::Level;
     use oasis_vm::workload::WorkloadClass;
 
     fn small_vm(id: u32) -> (Vm, GuestMemoryImage) {
@@ -283,6 +348,93 @@ mod tests {
         assert_eq!(hv.install_fetched(VmId(7), PageNum(0), false), Err(HvError::OutOfMemory));
         hv.destroy(VmId(6)).unwrap();
         assert!(hv.install_fetched(VmId(7), PageNum(0), false).is_ok());
+    }
+
+    /// A hypervisor with a 1,000-page VM (id 1) resident and a 300-page
+    /// VM (id 2) partial, with a random third of its pages installed.
+    fn run_fixture(rng: &mut SimRng, image: &GuestMemoryImage) -> (Hypervisor, Telemetry) {
+        let telemetry = Telemetry::new(Level::Info);
+        let mut hv = Hypervisor::with_telemetry(ByteSize::mib(64), telemetry.clone());
+        let full = Vm::new(VmId(1), WorkloadClass::Desktop, ByteSize::kib(4_000), 1);
+        hv.create_full(full, image.clone()).unwrap();
+        let mut part = Vm::new(VmId(2), WorkloadClass::Desktop, ByteSize::kib(1_200), 1);
+        part.make_partial(ByteSize::ZERO);
+        hv.create_partial(part, image.clone()).unwrap();
+        for p in 0..300 {
+            if rng.chance(0.33) {
+                hv.install_fetched(VmId(2), PageNum(p), rng.chance(0.5)).unwrap();
+            }
+        }
+        (hv, telemetry)
+    }
+
+    fn counts(t: &Telemetry) -> (u64, u64) {
+        let m = t.metrics();
+        let get = |r| m.counter("guest_accesses_total", &[("result", r)]).get();
+        (get("hit"), get("fault"))
+    }
+
+    fn page_state(hv: &Hypervisor, id: VmId) -> (Vec<PageNum>, Vec<PageNum>, Vec<PageNum>) {
+        let h = hv.vm(id).unwrap();
+        let mut dirty = h.dirty.clone();
+        (h.table.present_pages().collect(), h.wss.pages().collect(), dirty.take_epoch())
+    }
+
+    #[test]
+    fn access_run_matches_a_loop_of_guest_access() {
+        let mut draws = SimRng::new(0xACCE55);
+        // Page counts come from the VMs; the image only models content.
+        let image = GuestMemoryImage::new(1, PageMix::desktop(), 1_000);
+        // Cases seen: faults inside a run, a bad page, an unknown VM, an
+        // empty range.
+        let mut seen = [0u32; 4];
+        for case in 0..400 {
+            let fixture_seed = draws.next_u64();
+            let (mut run_hv, run_t) = run_fixture(&mut SimRng::new(fixture_seed), &image);
+            let (mut loop_hv, loop_t) = run_fixture(&mut SimRng::new(fixture_seed), &image);
+            // VM 3 is unknown; ranges cross words, start or run past the
+            // end, and are sometimes empty.
+            let id = VmId(1 + draws.below(3) as u32);
+            let start = PageNum(draws.below(1_100));
+            let n = if draws.chance(0.1) { 0 } else { draws.below(400) };
+            let p_write = draws.next_f64();
+            let write_seed = draws.next_u64();
+
+            let mut run_rng = SimRng::new(write_seed);
+            let got = run_hv.access_run(id, start, n, || run_rng.chance(p_write));
+
+            let mut loop_rng = SimRng::new(write_seed);
+            let mut want = Ok(RunAccess::default());
+            for p in start.0..start.0 + n {
+                let write = loop_rng.chance(p_write);
+                match loop_hv.guest_access(id, PageNum(p), write) {
+                    Ok(access) => {
+                        let r = want.as_mut().unwrap();
+                        match access {
+                            GuestAccess::Hit => r.hits += 1,
+                            GuestAccess::FaultPending(_) => r.faults += 1,
+                        }
+                    }
+                    Err(e) => {
+                        want = Err(e);
+                        break;
+                    }
+                }
+            }
+
+            seen[0] += u32::from(matches!(want, Ok(r) if r.faults > 0 && r.hits > 0));
+            seen[1] += u32::from(matches!(want, Err(HvError::BadPage(..))));
+            seen[2] += u32::from(matches!(want, Err(HvError::UnknownVm(_))));
+            seen[3] += u32::from(n == 0);
+            let what = format!("case {case}: {id} {start:?} +{n}");
+            assert_eq!(got, want, "{what}");
+            assert_eq!(counts(&run_t), counts(&loop_t), "{what}");
+            assert_eq!(run_rng.next_u64(), loop_rng.next_u64(), "{what}: draws");
+            for vm in [VmId(1), VmId(2)] {
+                assert_eq!(page_state(&run_hv, vm), page_state(&loop_hv, vm), "{what}: {vm}");
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 0), "every kind of run is exercised: {seen:?}");
     }
 
     #[test]

@@ -114,6 +114,34 @@ impl Bitmap {
         changed
     }
 
+    /// Word `w`: bits `64 * w .. 64 * w + 64`, bit `i` of the word being
+    /// index `64 * w + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word holds no bit below `len`.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Sets the bits of `mask` in word `w`; returns how many changed.
+    ///
+    /// Equivalent to [`set`](Bitmap::set) on each index the mask selects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask selects an index at or beyond `len`.
+    #[inline]
+    pub fn or_word(&mut self, w: usize, mask: u64) -> usize {
+        let top = 64 * w + (64 - mask.leading_zeros() as usize);
+        assert!(top <= self.len, "word {w} mask {mask:#x} out of range {}", self.len);
+        let changed = (mask & !self.words[w]).count_ones() as usize;
+        self.words[w] |= mask;
+        self.ones += changed;
+        changed
+    }
+
     /// Iterates over the indices of set bits, in ascending order.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones { words: &self.words, base: 0, word: self.words.first().copied().unwrap_or(0) }
@@ -272,6 +300,37 @@ mod tests {
         assert_eq!(changed, slow_changed);
         assert_eq!(batched.count_ones(), serial.count_ones());
         assert_eq!(batched.set_range(0, 0), 0, "empty range is a no-op");
+    }
+
+    #[test]
+    fn or_word_matches_per_bit_sets() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut words = Bitmap::new(200);
+        let mut serial = Bitmap::new(200);
+        for _ in 0..300 {
+            let w = (next() % 4) as usize;
+            let valid = if w == 3 { (1u64 << 8) - 1 } else { !0 };
+            let mask = next() & next() & valid;
+            let changed = words.or_word(w, mask);
+            let slow = (0..64).filter(|&b| mask >> b & 1 == 1 && serial.set(64 * w + b)).count();
+            assert_eq!(changed, slow);
+            assert_eq!(words, serial);
+            let bits = (0..64).filter(|&b| 64 * w + b < 200 && serial.get(64 * w + b));
+            assert_eq!(words.word(w), bits.fold(0, |m, b| m | 1 << b));
+        }
+        assert_eq!(words.or_word(3, 0), 0, "empty mask is a no-op");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn or_word_past_end_panics() {
+        Bitmap::new(100).or_word(1, 1 << 36);
     }
 
     #[test]

@@ -41,45 +41,64 @@ struct OwnerState {
     used_in_last: u64,
 }
 
+/// The free chunks, lowest index first, without a materialised list:
+/// every chunk from `next_fresh` up is free, and `returned` holds the
+/// freed chunks below it.
+#[derive(Clone, Debug)]
+struct FreeChunks {
+    total: u64,
+    /// Lowest chunk index never handed out.
+    next_fresh: u64,
+    /// Freed chunks, sorted descending so the lowest pops first.
+    returned: Vec<u64>,
+}
+
+impl FreeChunks {
+    fn len(&self) -> u64 {
+        self.total - self.next_fresh + self.returned.len() as u64
+    }
+
+    /// Takes the lowest free chunk. A returned chunk is always below
+    /// `next_fresh`, so it goes first.
+    fn pop(&mut self) -> Option<u64> {
+        if let Some(chunk) = self.returned.pop() {
+            return Some(chunk);
+        }
+        (self.next_fresh < self.total).then(|| {
+            self.next_fresh += 1;
+            self.next_fresh - 1
+        })
+    }
+
+    fn give_back(&mut self, chunks: Vec<u64>) {
+        self.returned.extend(chunks);
+        self.returned.sort_unstable_by(|a, b| b.cmp(a));
+    }
+}
+
 /// A host's chunked physical-frame allocator.
 #[derive(Clone, Debug)]
 pub struct ChunkAllocator {
-    free: Vec<u64>,
+    free: FreeChunks,
     owners: BTreeMap<OwnerId, OwnerState>,
 }
 
 impl ChunkAllocator {
     /// Creates an allocator over `capacity` bytes of host memory.
     ///
-    /// Capacity is rounded down to a whole number of 2 MiB chunks.
+    /// Capacity is rounded down to a whole number of 2 MiB chunks. Chunks
+    /// are handed out lowest index first (deterministic and
+    /// cache-friendly), and the allocator holds no per-chunk state until
+    /// owners start returning chunks.
     pub fn new(capacity: ByteSize) -> Self {
-        let total_chunks = capacity.as_bytes() / (FRAMES_PER_CHUNK * PAGE_SIZE);
-        // Free list kept in descending order so allocation pops the lowest
-        // chunk index first (deterministic and cache-friendly).
-        let free: Vec<u64> = (0..total_chunks).rev().collect();
+        let total = capacity.as_bytes() / (FRAMES_PER_CHUNK * PAGE_SIZE);
+        let free = FreeChunks { total, next_fresh: 0, returned: Vec::new() };
         ChunkAllocator { free, owners: BTreeMap::new() }
     }
 
     /// Chunks not yet handed to any owner.
     pub fn free_chunks(&self) -> u64 {
-        self.free.len() as u64
-    }
-
-    /// Bytes reserved by an owner (whole chunks, not just used frames).
-    pub fn reserved_bytes(&self, owner: OwnerId) -> ByteSize {
-        let chunks = self.owners.get(&owner).map_or(0, |o| o.chunks.len() as u64);
-        ByteSize::bytes(chunks * FRAMES_PER_CHUNK * PAGE_SIZE)
-    }
-
-    /// Frames actually used by an owner.
-    pub fn used_frames(&self, owner: OwnerId) -> u64 {
-        self.owners.get(&owner).map_or(0, |o| {
-            if o.chunks.is_empty() {
-                0
-            } else {
-                (o.chunks.len() as u64 - 1) * FRAMES_PER_CHUNK + o.used_in_last
-            }
-        })
+        self.free.len()
     }
 
     /// Allocates one frame for `owner`, carving a new chunk if needed.
@@ -105,43 +124,25 @@ impl ChunkAllocator {
     pub fn free_owner(&mut self, owner: OwnerId) -> u64 {
         if let Some(state) = self.owners.remove(&owner) {
             let n = state.chunks.len() as u64;
-            self.free.extend(state.chunks.into_iter().rev());
-            // Keep the free list sorted descending for deterministic reuse.
-            self.free.sort_unstable_by(|a, b| b.cmp(a));
+            self.free.give_back(state.chunks);
             n
         } else {
             0
         }
-    }
-
-    /// Internal fragmentation: fraction of reserved frames left unused.
-    pub fn fragmentation(&self) -> f64 {
-        let reserved: u64 =
-            self.owners.values().map(|o| o.chunks.len() as u64 * FRAMES_PER_CHUNK).sum();
-        if reserved == 0 {
-            return 0.0;
-        }
-        let used: u64 = self
-            .owners
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|&o| self.used_frames(o))
-            .sum();
-        1.0 - used as f64 / reserved as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_sim::SimRng;
 
     #[test]
     fn chunk_geometry() {
         assert_eq!(FRAMES_PER_CHUNK, 512);
         let a = ChunkAllocator::new(ByteSize::mib(10));
         assert_eq!(a.free_chunks(), 5);
+        assert_eq!(ChunkAllocator::new(ByteSize::mib(3)).free_chunks(), 1, "rounded down");
     }
 
     #[test]
@@ -152,8 +153,8 @@ mod tests {
         assert_eq!(f0, MachineFrame(0));
         assert_eq!(f1, MachineFrame(1));
         assert_eq!(a.free_chunks(), 1);
-        assert_eq!(a.used_frames(1), 2);
-        assert_eq!(a.reserved_bytes(1), ByteSize::mib(2));
+        assert_eq!(a.alloc_frame(1), Ok(MachineFrame(2)), "the chunk fills before another");
+        assert_eq!(a.free_chunks(), 1);
     }
 
     #[test]
@@ -168,14 +169,14 @@ mod tests {
     #[test]
     fn chunk_overflow_carves_next_chunk() {
         let mut a = ChunkAllocator::new(ByteSize::mib(4));
-        for _ in 0..FRAMES_PER_CHUNK {
-            a.alloc_frame(1).unwrap();
+        for i in 0..FRAMES_PER_CHUNK {
+            assert_eq!(a.alloc_frame(1), Ok(MachineFrame(i)));
         }
-        assert_eq!(a.reserved_bytes(1), ByteSize::mib(2));
+        assert_eq!(a.free_chunks(), 1);
         let f = a.alloc_frame(1).unwrap();
         assert_eq!(f, MachineFrame(FRAMES_PER_CHUNK));
-        assert_eq!(a.reserved_bytes(1), ByteSize::mib(4));
-        assert_eq!(a.used_frames(1), FRAMES_PER_CHUNK + 1);
+        assert_eq!(a.free_chunks(), 0);
+        assert_eq!(a.alloc_frame(1), Ok(MachineFrame(FRAMES_PER_CHUNK + 1)));
     }
 
     #[test]
@@ -196,24 +197,94 @@ mod tests {
         assert_eq!(a.free_chunks(), 0);
         assert_eq!(a.free_owner(1), 1);
         assert_eq!(a.free_chunks(), 1);
-        assert_eq!(a.used_frames(1), 0);
+        assert_eq!(a.free_owner(1), 0, "a freed owner holds nothing");
         // Owner 3 reuses the lowest free chunk (owner 1's old chunk 0).
         let f = a.alloc_frame(3).unwrap();
         assert_eq!(f, MachineFrame(0));
         assert_eq!(a.free_owner(99), 0, "unknown owner frees nothing");
     }
 
+    /// Internal fragmentation, observed through frames: a partly used
+    /// chunk stays reserved for its owner.
     #[test]
     fn fragmentation_accounting() {
         let mut a = ChunkAllocator::new(ByteSize::mib(8));
-        assert_eq!(a.fragmentation(), 0.0);
-        a.alloc_frame(1).unwrap();
-        // 1 of 512 frames used in one reserved chunk.
-        let frag = a.fragmentation();
-        assert!((frag - 511.0 / 512.0).abs() < 1e-9, "frag {frag}");
-        for _ in 0..(FRAMES_PER_CHUNK - 1) {
-            a.alloc_frame(1).unwrap();
+        assert_eq!(a.alloc_frame(1), Ok(MachineFrame(0)));
+        assert_eq!(a.alloc_frame(2), Ok(MachineFrame(FRAMES_PER_CHUNK)));
+        // Owner 1's chunk still has 511 frames, and no one else gets them.
+        for i in 1..FRAMES_PER_CHUNK {
+            assert_eq!(a.alloc_frame(1), Ok(MachineFrame(i)));
         }
-        assert_eq!(a.fragmentation(), 0.0);
+        assert_eq!(a.free_chunks(), 2);
+        assert_eq!(a.alloc_frame(1), Ok(MachineFrame(2 * FRAMES_PER_CHUNK)));
+        assert_eq!(a.free_owner(1), 2);
+        assert_eq!(a.free_chunks(), 3);
+        // Chunks come back lowest first: 0, then 2, then the fresh 3.
+        assert_eq!(a.alloc_frame(4), Ok(MachineFrame(0)));
+        assert_eq!(a.alloc_frame(5), Ok(MachineFrame(2 * FRAMES_PER_CHUNK)));
+        assert_eq!(a.alloc_frame(6), Ok(MachineFrame(3 * FRAMES_PER_CHUNK)));
+        assert_eq!(a.alloc_frame(7), Err(OutOfMemory));
+    }
+
+    /// The allocator with a materialised free list, kept sorted
+    /// descending: the reference the fresh-counter allocator must match.
+    struct FreeListModel {
+        free: Vec<u64>,
+        owners: BTreeMap<OwnerId, (Vec<u64>, u64)>,
+    }
+
+    impl FreeListModel {
+        fn new(chunks: u64) -> Self {
+            FreeListModel { free: (0..chunks).rev().collect(), owners: BTreeMap::new() }
+        }
+
+        fn alloc_frame(&mut self, owner: OwnerId) -> Result<MachineFrame, OutOfMemory> {
+            let (chunks, used) = self.owners.entry(owner).or_insert((Vec::new(), FRAMES_PER_CHUNK));
+            if *used == FRAMES_PER_CHUNK {
+                chunks.push(self.free.pop().ok_or(OutOfMemory)?);
+                *used = 0;
+            }
+            *used += 1;
+            Ok(MachineFrame(chunks.last().unwrap() * FRAMES_PER_CHUNK + *used - 1))
+        }
+
+        fn free_owner(&mut self, owner: OwnerId) -> u64 {
+            self.owners.remove(&owner).map_or(0, |(chunks, _)| {
+                let n = chunks.len() as u64;
+                self.free.extend(chunks);
+                self.free.sort_unstable_by(|a, b| b.cmp(a));
+                n
+            })
+        }
+    }
+
+    #[test]
+    fn allocator_matches_the_free_list_model() {
+        let mut rng = SimRng::new(0xC4_0C4);
+        for case in 0..200 {
+            let chunks = rng.below(12);
+            let mut a = ChunkAllocator::new(ByteSize::mib(2 * chunks));
+            let mut model = FreeListModel::new(chunks);
+            for step in 0..400 {
+                let owner = rng.below(7) as OwnerId;
+                if rng.chance(0.15) {
+                    assert_eq!(
+                        a.free_owner(owner),
+                        model.free_owner(owner),
+                        "case {case} step {step}"
+                    );
+                } else {
+                    // Bursts fill chunks, so owners cross chunk boundaries.
+                    for _ in 0..1 + rng.below(300) {
+                        let got = a.alloc_frame(owner);
+                        assert_eq!(got, model.alloc_frame(owner), "case {case} step {step}");
+                        if got.is_err() {
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(a.free_chunks(), model.free.len() as u64, "case {case} step {step}");
+            }
+        }
     }
 }

@@ -31,6 +31,18 @@ impl DirtyLog {
         }
     }
 
+    /// Records writes to the pages `mask` selects in word `w` (page
+    /// `64 * w + i` at bit `i`): [`record`](DirtyLog::record) on each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask selects a page beyond the log; see
+    /// [`Bitmap::or_word`].
+    #[inline]
+    pub fn record_word(&mut self, w: usize, mask: u64) {
+        self.bits.or_word(w, mask);
+    }
+
     /// Number of distinct pages dirtied this epoch.
     pub fn dirty_count(&self) -> u64 {
         self.bits.count_ones() as u64
@@ -85,6 +97,16 @@ mod tests {
         assert_eq!(set.iter_ones().collect::<Vec<_>>(), vec![2, 7, 40]);
         assert_eq!(set.count_ones(), 3);
         assert!(log.take_epoch().is_empty());
+    }
+
+    #[test]
+    fn record_word_marks_each_selected_page() {
+        let mut log = DirtyLog::new(130);
+        log.record(PageNum(129));
+        log.record_word(2, 0b11);
+        log.record_word(0, 1 << 63);
+        assert_eq!(log.dirty_count(), 3);
+        assert_eq!(log.take_epoch(), vec![PageNum(63), PageNum(128), PageNum(129)]);
     }
 
     #[test]

@@ -66,6 +66,18 @@ impl PageTable {
         self.present.count_ones() as u64
     }
 
+    /// Number of pages the table covers.
+    pub fn num_pages(&self) -> u64 {
+        self.present.len() as u64
+    }
+
+    /// Present bits of pages `64 * w .. 64 * w + 64`, page `64 * w + i` at
+    /// bit `i`; see [`Bitmap::word`].
+    #[inline]
+    pub fn present_word(&self, w: usize) -> u64 {
+        self.present.word(w)
+    }
+
     fn check_range(&self, page: PageNum) -> Result<usize, PageTableError> {
         let i = page.0 as usize;
         if i >= self.present.len() {
@@ -133,6 +145,16 @@ mod tests {
         let mut pt = PageTable::new_absent(10);
         assert_eq!(pt.touch(PageNum(10), false), Err(PageTableError::OutOfRange(PageNum(10))));
         assert!(pt.install(PageNum(11)).is_err());
+    }
+
+    #[test]
+    fn present_words_follow_installs() {
+        let mut pt = PageTable::new_absent(70);
+        assert_eq!(pt.num_pages(), 70);
+        pt.install(PageNum(3)).unwrap();
+        pt.install(PageNum(65)).unwrap();
+        assert_eq!((pt.present_word(0), pt.present_word(1)), (1 << 3, 1 << 1));
+        assert_eq!(PageTable::new_resident(70).present_word(1), (1 << 6) - 1);
     }
 
     #[test]

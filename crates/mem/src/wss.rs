@@ -77,6 +77,20 @@ impl WorkingSetTracker {
         self.touched.set_range(s, e - s) as u64
     }
 
+    /// Records accesses to the pages `mask` selects in word `w` (page
+    /// `64 * w + i` at bit `i`); returns how many were new to the set.
+    ///
+    /// Equivalent to [`touch`](WorkingSetTracker::touch) on each selected
+    /// page; see [`Bitmap::or_word`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask selects a page beyond the tracker.
+    #[inline]
+    pub fn touch_word(&mut self, w: usize, mask: u64) -> u64 {
+        self.touched.or_word(w, mask) as u64
+    }
+
     /// Number of unique pages touched.
     pub fn unique_pages(&self) -> u64 {
         self.touched.count_ones() as u64
@@ -156,6 +170,19 @@ mod tests {
         // Out-of-range tail ignored, like per-page touches.
         assert_eq!(batched.touch_range(PageNum(95), 10), 5);
         assert_eq!(batched.touch_range(PageNum(200), 5), 0);
+    }
+
+    #[test]
+    fn touch_word_matches_serial_touches() {
+        let mut words = WorkingSetTracker::new(100);
+        let mut serial = WorkingSetTracker::new(100);
+        words.touch(PageNum(66));
+        serial.touch(PageNum(66));
+        assert_eq!(words.touch_word(1, 0b1110), 2);
+        let slow = [65, 66, 67].iter().filter(|&&p| serial.touch(PageNum(p))).count() as u64;
+        assert_eq!(slow, 2);
+        assert!(words.pages().eq(serial.pages()));
+        assert_eq!(words.unique_pages(), 3);
     }
 
     #[test]

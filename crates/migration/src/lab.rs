@@ -229,17 +229,19 @@ impl MicroLab {
         start..end
     }
 
-    /// Touches a fresh sequential range at home, one page at a time with
-    /// a per-page write draw. The range comes from the fresh-page bump
-    /// pointer on a fully resident table, so no access faults.
+    /// Touches a fresh sequential range at home with a per-page write
+    /// draw. The range comes from the fresh-page bump pointer on a fully
+    /// resident table, so every access must hit.
     fn touch_sequential(&mut self, range: std::ops::Range<u64>) {
-        for p in range {
-            let write = self.rng.chance(PRIME_WRITE_FRACTION);
-            self.home
-                .hypervisor
-                .guest_access(self.vm_id, PageNum(p), write)
-                .expect("resident access");
-        }
+        let rng = &mut self.rng;
+        let run = self
+            .home
+            .hypervisor
+            .access_run(self.vm_id, PageNum(range.start), range.end - range.start, || {
+                rng.chance(PRIME_WRITE_FRACTION)
+            })
+            .expect("resident access");
+        assert_eq!(run.faults, 0, "a resident VM faulted at home");
     }
 
     /// Boots the OS: touches the base page set at home.
@@ -274,10 +276,12 @@ impl MicroLab {
         let limit = self.next_fresh_page.max(1);
         for _ in 0..pages {
             let p = self.rng.below(limit);
-            self.home
+            let access = self
+                .home
                 .hypervisor
                 .guest_access(self.vm_id, PageNum(p), true)
                 .expect("resident access");
+            assert_eq!(access, GuestAccess::Hit, "a resident VM faulted at home");
         }
         self.now += duration;
     }
@@ -432,10 +436,12 @@ impl MicroLab {
             // Re-dirtying only touches pages already present: hits only.
             for _ in 0..redirty {
                 let p = present[self.rng.index(present.len())];
-                self.consolidation
+                let access = self
+                    .consolidation
                     .hypervisor
                     .guest_access(self.vm_id, p, true)
                     .expect("present page");
+                assert_eq!(access, GuestAccess::Hit, "a present page faulted");
             }
         }
 
@@ -640,9 +646,9 @@ mod tests {
     /// Runs the full flow and serializes every observable outcome: phase
     /// reports, traffic ledger, memtap and memory-server stats, final
     /// page-table/working-set state and the lab clock.
-    fn flow_snapshot(serve_error_rate: f64) -> String {
+    fn flow_snapshot(seed: u64, serve_error_rate: f64) -> String {
         let mut lab =
-            MicroLab::with_options(1, LabOptions { serve_error_rate, ..LabOptions::default() });
+            MicroLab::with_options(seed, LabOptions { serve_error_rate, ..LabOptions::default() });
         lab.prime_os();
         lab.run_workload(&DesktopWorkload::workload1());
         lab.idle_wait(SimDuration::from_mins(5));
@@ -675,9 +681,18 @@ mod tests {
 
     #[test]
     fn flow_snapshot_bytes_are_pinned() {
-        for (rate, expect) in [(0.0, 0xbb12_d2ed_cdef_65ea), (0.10, 0x0c18_fdc0_23f5_666c)] {
-            let snapshot = flow_snapshot(rate);
-            assert_eq!(fnv1a(snapshot.as_bytes()), expect, "serve_error_rate {rate}:\n{snapshot}");
+        for (seed, rate, expect) in [
+            (1, 0.0, 0xbb12_d2ed_cdef_65ea),
+            (1, 0.10, 0x0c18_fdc0_23f5_666c),
+            (2, 0.0, 0xbeb4_5e4e_a1d1_7c98),
+            (3, 0.0, 0x7d8a_9cec_98b0_486e),
+        ] {
+            let snapshot = flow_snapshot(seed, rate);
+            assert_eq!(
+                fnv1a(snapshot.as_bytes()),
+                expect,
+                "seed {seed}, serve_error_rate {rate}:\n{snapshot}"
+            );
         }
     }
 

@@ -113,12 +113,14 @@ fn micro_flow(seed: u64) {
 
 #[test]
 fn micro_flow_heap_stays_bounded() {
-    // Measured 8,269,974 B and 322 allocations; a dense image of 2^20
-    // `u32` slots alone is 4 MiB. The flow with a per-page B-tree image
-    // and collected upload lists peaked at 39,467,190 B over 124,142
-    // allocations.
-    const PEAK_BOUND: u64 = 10 * 1024 * 1024;
-    const ALLOC_BOUND: u64 = 400;
+    // Measured 5,651,926 B and 241 allocations; a dense image of 2^20
+    // `u32` slots alone is 4 MiB. The bounds leave about 11 % and 24 %
+    // above those counts. Materialised free-chunk lists for the lab's
+    // 128 GiB and 512 GiB hosts (2.5 MiB) peaked at 8,269,974 B over 322
+    // allocations; a per-page B-tree image and collected upload lists at
+    // 39,467,190 B over 124,142.
+    const PEAK_BOUND: u64 = 6 * 1024 * 1024;
+    const ALLOC_BOUND: u64 = 300;
     let (peak, allocs) = measure(|| micro_flow(1));
     println!(
         "micro flow, seed 1: peak {peak} B (bound {PEAK_BOUND}), {allocs} allocations (bound {ALLOC_BOUND})"
